@@ -69,7 +69,14 @@ from .polycore import (
     poly_eval,
     recurrence_coefficients,
 )
-from .quadrature import QuadratureRule, gauss_rule, integrate, weight_moments
+from .quadrature import (
+    QuadratureRangeError,
+    QuadratureRule,
+    family_rule,
+    gauss_rule,
+    integrate,
+    weight_moments,
+)
 from .sobolev import (
     MatrixWeight,
     gram_matrix,

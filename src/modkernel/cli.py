@@ -194,31 +194,41 @@ def _parse_family(args) -> FamilySpec:
 
 
 def parse_weight_source(source: str, family: FamilySpec, rc, n_needed: int, seed: int) -> WeightSequence:
-    """Materialize a weight-source expression as explicit weights."""
+    """Materialize a weight-source expression as explicit weights.
+
+    Malformed expressions, missing keys and unreadable files raise
+    ValueError with a one-line message.
+    """
+    kind, _, rest = source.partition(":")
+    kv = _parse_kv(rest)
+
+    def need(key: str) -> float:
+        if key not in kv:
+            raise ValueError(f"weight source {source!r} needs {key}=")
+        return float(kv[key])
+
     if source == "ones":
         return WeightSequence(np.ones(n_needed + 1))
-    if source.startswith("kernel:"):
-        kv = _parse_kv(source.split(":", 1)[1])
-        return generate_weights(family, rc, PlainKernel(t0=float(kv["t0"])), n_needed)
-    if source.startswith("eigkernel:"):
-        kv = _parse_kv(source.split(":", 1)[1])
-        return generate_weights(family, rc, EigScaledKernel(c=float(kv["c"]), t0=float(kv["t0"])), n_needed)
-    if source.startswith("secondkind:"):
-        kv = _parse_kv(source.split(":", 1)[1])
-        return generate_weights(family, rc, SecondKind(t0=float(kv["t0"])), n_needed)
-    if source.startswith("file:"):
-        path = source.split(":", 1)[1]
-        with open(path) as fh:
-            raw = fh.read().replace(",", "\n").split()
+    if kind == "kernel":
+        return generate_weights(family, rc, PlainKernel(t0=need("t0")), n_needed)
+    if kind == "eigkernel":
+        return generate_weights(family, rc, EigScaledKernel(c=need("c"), t0=need("t0")), n_needed)
+    if kind == "secondkind":
+        return generate_weights(family, rc, SecondKind(t0=need("t0")), n_needed)
+    if kind == "file":
+        try:
+            with open(rest) as fh:
+                raw = fh.read().replace(",", "\n").split()
+        except OSError as exc:
+            raise ValueError(f"cannot read weight file {rest}: {exc.strerror}") from exc
         vals = np.array([float(v) for v in raw])
         if vals.size < n_needed + 1:
-            raise SystemExit(f"weight file {path} holds {vals.size} values, {n_needed + 1} needed")
+            raise ValueError(f"weight file {rest} holds {vals.size} values, {n_needed + 1} needed")
         return WeightSequence(vals[: n_needed + 1])
-    if source.startswith("random:"):
-        kv = _parse_kv(source.split(":", 1)[1])
+    if kind == "random":
         rng = np.random.default_rng(int(kv.get("seed", seed)))
         return WeightSequence(0.5 + rng.random(n_needed + 1))
-    raise SystemExit(f"cannot parse weight source: {source!r}")
+    raise ValueError(f"cannot parse weight source: {source!r}")
 
 
 def _parse_kv(text: str) -> dict:
@@ -284,8 +294,8 @@ def run_pencil_checks(family: FamilySpec, w_source: str, n_max: int, seed: int,
 
 
 def cmd_pencil(args) -> int:
-    family = _parse_family(args)
     try:
+        family = _parse_family(args)
         report, w = run_pencil_checks(
             family, args.c, args.nmax, args.seed,
             tol_path=args.tol_path, tol_equiv=args.tol_equiv, tol_resid=args.tol_resid,
@@ -346,8 +356,8 @@ def run_gram_checks(family: FamilySpec, c: float, t0: float, n_max: int, seed: i
 
 
 def cmd_gram(args) -> int:
-    family = _parse_family(args)
     try:
+        family = _parse_family(args)
         report, gram = run_gram_checks(family, args.c, args.t0, args.nmax, args.seed,
                                        tol_offdiag=args.tol_offdiag)
     except ValueError as exc:
@@ -417,8 +427,8 @@ def run_diff_checks(family: FamilySpec, c: float, t0: float | None, n_max: int, 
 
 
 def cmd_diffcheck(args) -> int:
-    family = _parse_family(args)
     try:
+        family = _parse_family(args)
         report = run_diff_checks(family, args.c, args.t0, args.nmax, args.seed,
                                  tol_eigen=args.tol_eigen, tol_image=args.tol_image,
                                  tol_composed=args.tol_composed)

@@ -14,7 +14,11 @@ outer integrand carries an algebraic factor t^(n+alpha) at the origin
 which would ruin plain Gauss-Legendre convergence for non-integer
 alpha, so that factor is absorbed exactly into a mapped Gauss rule for
 the weight (1+s)^(n+alpha) and only the remaining entire part is
-sampled.
+sampled.  The Gauss rules come from ``quadrature.family_rule``, which
+memoizes them by (family, size) in a bounded cache with read-only
+arrays; repeated calls at the same (alpha, n) reuse one rule instead of
+rebuilding it.  The prefactor e^-x limits x to above -log(DBL_MAX)
+(about -709.78); beyond that the routes raise SeriesRangeError.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .gammafn import gamma_fn
 from .polycore import Jacobi, LaguerreNeg, orthonormal_values, recurrence_coefficients
-from .quadrature import gauss_rule
+from .quadrature import family_rule
 
 __all__ = [
     "SeriesRangeError",
@@ -51,6 +55,8 @@ class CutoffError(RuntimeError):
 
 
 _LD_EPS = float(np.finfo(np.longdouble).eps)
+# e^-x in the prefactors overflows a double for x below -_EXP_LIMIT
+_EXP_LIMIT = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -192,13 +198,32 @@ def _outer_rule(p: float, cutoff: float, size: int) -> tuple[np.ndarray, np.ndar
     [-1, 1], mapped by t = T (1+s) / 2; the returned factor multiplies
     the plain weighted sum of g values.
     """
-    fam = Jacobi(0.0, p)
-    rc = recurrence_coefficients(fam, size)
-    rule = gauss_rule(fam, rc, size)
+    rule = family_rule(Jacobi(0.0, p), size)
     t = 0.5 * cutoff * (rule.nodes + 1.0)
     # t = T (1+s)/2 turns the target into (T/2)^(p+1) sum w_i g(t_i)
     factor = (0.5 * cutoff) ** (p + 1.0)
     return t, rule.weights, factor
+
+
+def _budget_guard(result: float, err: float, cfg: SpecialFnConfig) -> float:
+    """Return the result unless the Bessel round-off estimate spoils it.
+
+    A non-finite result or estimate, which the series reaches before
+    the prefactor overflows, is refused the same way.
+    """
+    if not (math.isfinite(result) and err <= cfg.budget_rel * max(abs(result), 1.0)):
+        raise CutoffError(
+            f"Bessel series round-off budget {err:.3g} exceeds "
+            f"{cfg.budget_rel} of the result scale {abs(result):.3g}; reduce the cutoff or the argument range"
+        )
+    return result
+
+
+def _exp_range_guard(x: float) -> None:
+    if x < -_EXP_LIMIT:
+        raise SeriesRangeError(
+            f"x = {x} is below {-_EXP_LIMIT:.6g}, where the prefactor e^-x overflows double precision"
+        )
 
 
 def laguerre_via_bessel(alpha: float, n: int, x: float, cfg: SpecialFnConfig = DEFAULT_CONFIG) -> float:
@@ -215,6 +240,7 @@ def laguerre_via_bessel(alpha: float, n: int, x: float, cfg: SpecialFnConfig = D
         raise ValueError("alpha must exceed -1")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    _exp_range_guard(x)
     p = n + alpha
     cutoff = cfg.outer_cutoff if cfg.outer_cutoff is not None else _auto_cutoff(n + alpha / 2.0, cfg.tail_rel)
     _tail_guard(n + alpha / 2.0, cutoff, cfg.tail_rel)
@@ -225,19 +251,11 @@ def laguerre_via_bessel(alpha: float, n: int, x: float, cfg: SpecialFnConfig = D
     integral = factor * float(w @ g)
     budget = factor * float(np.abs(w) @ g_err)
     prefactor = math.exp(-x) * (-x) ** (-alpha / 2.0) / math.factorial(n)
-    result = prefactor * integral
-    if prefactor * budget > cfg.budget_rel * max(abs(result), 1.0):
-        raise CutoffError(
-            f"Bessel series round-off budget {prefactor * budget:.3g} exceeds "
-            f"{cfg.budget_rel} of the result scale; reduce the cutoff or the argument range"
-        )
-    return result
+    return _budget_guard(prefactor * integral, prefactor * budget, cfg)
 
 
 def _inner_rule(size: int) -> tuple[np.ndarray, np.ndarray]:
-    fam = Jacobi(0.0, 0.0)
-    rc = recurrence_coefficients(fam, size)
-    rule = gauss_rule(fam, rc, size)
+    rule = family_rule(Jacobi(0.0, 0.0), size)
     return rule.nodes, rule.weights
 
 
@@ -284,6 +302,7 @@ def sobolev_laguerre_integral_rep(
         raise ValueError("alpha must exceed -1")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    _exp_range_guard(x)
     cutoff = cfg.outer_cutoff if cfg.outer_cutoff is not None else _auto_cutoff(n + alpha / 2.0, cfg.tail_rel)
     _tail_guard(n + alpha / 2.0, cutoff, cfg.tail_rel)
     t, w, factor = _outer_rule(alpha, cutoff, cfg.outer_rule_size)
@@ -298,13 +317,7 @@ def sobolev_laguerre_integral_rep(
     integral = factor * float(w @ g)
     budget = factor * float(np.abs(w) @ g_err)
     prefactor = math.exp(-x) * (-x) ** (-alpha / 2.0) / (gamma_fn(alpha + 1.0) * math.factorial(n))
-    result = prefactor * integral
-    if prefactor * budget > cfg.budget_rel * max(abs(result), 1.0):
-        raise CutoffError(
-            f"Bessel series round-off budget {prefactor * budget:.3g} exceeds "
-            f"{cfg.budget_rel} of the result scale"
-        )
-    return result
+    return _budget_guard(prefactor * integral, prefactor * budget, cfg)
 
 
 def sobolev_laguerre_closed_form(alpha: float, c: float, n: int, x) -> float:

@@ -4,23 +4,49 @@ Nodes are eigenvalues of the truncated symmetric tridiagonal recurrence
 matrix; weights come from the squared first components of its
 eigenvectors.  The eigensolver is an implicit-shift QL iteration that
 tracks only those first components, which is all the construction needs.
+
+``gauss_rule`` builds a rule from caller-supplied recurrence data and
+caches nothing.  ``family_rule`` memoizes the rule of a family at a
+given size in a bounded cache and hands out read-only arrays, so a
+caller cannot corrupt the rule a later caller receives.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gammafn import beta_fn, gamma_fn
-from .polycore import Chebyshev1, FamilySpec, Jacobi, LaguerreNeg, RecurrenceCoefficients
+from .polycore import (
+    Chebyshev1,
+    FamilySpec,
+    Jacobi,
+    LaguerreNeg,
+    RecurrenceCoefficients,
+    recurrence_coefficients,
+)
 
-__all__ = ["QuadratureRule", "gauss_rule", "integrate", "weight_moments"]
+__all__ = [
+    "QuadratureRangeError",
+    "QuadratureRule",
+    "family_rule",
+    "gauss_rule",
+    "integrate",
+    "weight_moments",
+]
 
 # deflation threshold relative to the neighboring diagonal scale
 _DEFLATION = 1e-14
 _MAX_SWEEPS = 50
+# distinct (family, size) rules kept by family_rule; a 140-point rule is ~2 KB
+_RULE_CACHE_SIZE = 128
+
+
+class QuadratureRangeError(ValueError):
+    """The rule needs a weight below the smallest double-precision number."""
 
 
 def _tridiag_eigen_first(d, e, max_iter: int = _MAX_SWEEPS):
@@ -121,10 +147,31 @@ def gauss_rule(family: FamilySpec, rc: RecurrenceCoefficients, n_points: int) ->
     e = rc.a_hat[: n_points - 1]
     nodes, first = _tridiag_eigen_first(d, e)
     weights = rc.mu0 * first**2
+    underflowed = np.flatnonzero(weights == 0.0)
+    if underflowed.size:
+        k = int(underflowed[0])
+        raise QuadratureRangeError(
+            f"{family!r} rule with N = {n_points}: the weight at node {k} "
+            f"(x = {nodes[k]:.6g}) underflows to 0 in double precision"
+        )
     lo, hi = family.support
     if not (np.all(nodes > lo) and np.all(nodes < hi)):
         raise RuntimeError("computed nodes left the support interval")
     return QuadratureRule(nodes=nodes, weights=weights, exact_degree=2 * n_points - 1, weight_id=family)
+
+
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
+def family_rule(family: FamilySpec, n_points: int) -> QuadratureRule:
+    """Memoized N-point Gauss rule for the family weight.
+
+    Same rule as ``gauss_rule`` on the family's own recurrence data,
+    built once per (family, size) while it stays in the bounded cache.
+    The arrays are read-only because every caller shares them.
+    """
+    rule = gauss_rule(family, recurrence_coefficients(family, n_points), n_points)
+    rule.nodes.setflags(write=False)
+    rule.weights.setflags(write=False)
+    return rule
 
 
 def integrate(rule: QuadratureRule, f) -> float:

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +98,37 @@ class TestPencilCommand:
         assert "c[2]" in captured.err
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "chebyshev", "--c", "file:/nonexistent/weights.csv"], "cannot read weight file"),
+        (["--family", "chebyshev", "--c", "kernel:"], "needs t0="),
+        (["--family", "jacobi", "--alpha", "-1.5"], "must exceed -1"),
+        (["--family", "chebyshev", "--c", "bogus:1"], "cannot parse weight source"),
+    ])
+    def test_bad_input_exits_two_with_one_line(self, argv, message, capsys):
+        code = run(["pencil", *argv, "--nmax", "8"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    def test_short_weight_file_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "w.csv"
+        p.write_text("1.0,1.0,1.0")
+        code = run(["pencil", "--family", "chebyshev", "--c", f"file:{p}", "--nmax", "8"])
+        assert code == 2
+        assert "3 values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gram", "--family", "jacobi", "--alpha", "-1.5", "--t0", "1"],
+    ["diffcheck", "--family", "laguerre", "--alpha", "-2"],
+])
+def test_bad_family_parameters_exit_two(argv, capsys):
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestGramCommand:
     def test_jacobi_defaults_pass(self, tmp_path):
         out = tmp_path / "r.json"
@@ -181,6 +214,12 @@ class TestIntegralcheckCommand:
         code = run(["integralcheck", "--alpha", "0", "--c", "1", "--x=0.5"])
         assert code == 2
 
+    def test_overflowing_x_rejected(self, capsys):
+        code = run(["integralcheck", "--alpha", "0.5", "--c", "1", "--nmax", "1", "--x=-1e6"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: x = -1000000.0") and err.count("\n") == 1
+
 
 class TestPlotdataCommand:
     def test_tn_bounds_columns(self, tmp_path, capsys):
@@ -244,6 +283,26 @@ class TestReportDeterminism:
         code = run(["pencil", "--family", "chebyshev", "--c", "ones", "--nmax", "6"])
         assert code == 0
         assert (tmp_path / "pencil-report.json").exists()
+
+
+class TestSelftestCommand:
+    def test_all_criteria_pass(self, tmp_path, capsys):
+        out = tmp_path / "selftest.json"
+        code = run(["selftest", "--emit", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        names = [c["name"] for c in doc["checks"]]
+        assert [n[:12] for n in names] == [f"criterion-{k:02d}" for k in range(1, 13)]
+        assert all(c["pass"] for c in doc["checks"])
+        assert capsys.readouterr().out.count("PASS ") == 12
+
+
+def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("modkernel").__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "modkernel", "--help"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert "selftest" in proc.stdout
 
 
 def test_parser_covers_subcommands():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from modkernel import quadrature
 from modkernel.integralrep import (
     CutoffError,
     SeriesRangeError,
@@ -202,3 +203,39 @@ class TestConfig:
     def test_rule_size_bound(self):
         with pytest.raises(ValueError):
             SpecialFnConfig(inner_rule_size=2)
+
+
+class TestRangeLimits:
+    @pytest.mark.parametrize("route", [
+        lambda x: laguerre_via_bessel(0.5, 1, x),
+        lambda x: sobolev_laguerre_integral_rep(0.5, 1, 1, x),
+    ])
+    def test_prefactor_overflow_is_named(self, route):
+        with pytest.raises(SeriesRangeError, match=r"x = -1000000.0 .*-709.78"):
+            route(-1e6)
+        with pytest.raises(SeriesRangeError):
+            route(-710.0)
+
+    @pytest.mark.parametrize("route", [
+        lambda x: laguerre_via_bessel(0.5, 1, x),
+        lambda x: sobolev_laguerre_integral_rep(0.5, 1, 1, x),
+    ])
+    def test_nonfinite_result_is_refused(self, route):
+        # the Bessel sum overflows before the prefactor does
+        with pytest.raises(CutoffError):
+            route(-700.0)
+
+
+class TestRuleReuse:
+    @pytest.mark.parametrize("route", [
+        lambda: laguerre_via_bessel(0.815, 2, -1.5),
+        lambda: sobolev_laguerre_integral_rep(0.815, 2, 3, -1.5),
+    ])
+    def test_second_call_skips_rule_construction(self, route, monkeypatch):
+        calls = []
+        solver = quadrature._tridiag_eigen_first
+        monkeypatch.setattr(quadrature, "_tridiag_eigen_first", lambda d, e: calls.append(1) or solver(d, e))
+        first = route()
+        built = len(calls)
+        assert route() == first
+        assert len(calls) == built

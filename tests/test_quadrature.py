@@ -1,10 +1,21 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from modkernel.polycore import Chebyshev1, Jacobi, LaguerreNeg, orthonormal_values, recurrence_coefficients
-from modkernel.quadrature import QuadratureRule, gauss_rule, integrate, weight_moments
+from modkernel import quadrature
+from modkernel.quadrature import (
+    QuadratureRangeError,
+    QuadratureRule,
+    family_rule,
+    gauss_rule,
+    integrate,
+    weight_moments,
+)
 
 from oracles import jacobi_moments_lowdeg, laguerre_neg_moments
 
@@ -131,3 +142,73 @@ def test_rule_validation():
     with pytest.raises(ValueError, match="increasing"):
         QuadratureRule(nodes=np.array([0.5, 0.0]), weights=np.array([1.0, 1.0]),
                        exact_degree=3, weight_id=Chebyshev1())
+
+
+def test_laguerre_weight_underflow_is_named():
+    fam = LaguerreNeg(0.0)
+    rc = recurrence_coefficients(fam, 196)
+    with pytest.raises(QuadratureRangeError, match=r"N = 196.*node 0 .*underflows"):
+        gauss_rule(fam, rc, 196)
+    rule = gauss_rule(fam, rc, 180)
+    assert np.all(rule.weights > 0.0)
+
+
+class TestFamilyRule:
+    @pytest.mark.parametrize("n", [24, 140])
+    def test_bitwise_equal_to_fresh_rule(self, n):
+        fam = Jacobi(0.0, 1.3)
+        cached = family_rule(fam, n)
+        fresh = gauss_rule(fam, recurrence_coefficients(fam, n), n)
+        assert cached.nodes.tobytes() == fresh.nodes.tobytes()
+        assert cached.weights.tobytes() == fresh.weights.tobytes()
+        assert cached.exact_degree == fresh.exact_degree and cached.weight_id == fam
+
+    def test_arrays_are_read_only(self):
+        rule = family_rule(Jacobi(0.0, 2.0), 24)
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights *= 2.0
+        assert family_rule(Jacobi(0.0, 2.0), 24).weights.sum() == pytest.approx(2.0**3 / 3.0, rel=1e-13)
+
+    def test_repeat_reuses_rule(self, monkeypatch):
+        calls = []
+        solver = quadrature._tridiag_eigen_first
+        monkeypatch.setattr(quadrature, "_tridiag_eigen_first", lambda d, e: calls.append(1) or solver(d, e))
+        fam = Jacobi(0.0, 0.615)
+        first = family_rule(fam, 30)
+        assert family_rule(Jacobi(0.0, 0.615), 30) is first
+        assert len(calls) == 1
+        family_rule(fam, 31)
+        assert len(calls) == 2
+
+    def test_concurrent_callers_share_identical_rules(self):
+        fam = Jacobi(0.0, 0.4321)
+        sizes = list(range(8, 20))
+        fresh = {n: gauss_rule(fam, recurrence_coefficients(fam, n), n) for n in sizes}
+        workers = min((os.cpu_count() or 1) + 2, 8)
+        results = [None] * workers
+
+        def work(slot):
+            order = sizes[slot % len(sizes):] + sizes[: slot % len(sizes)]
+            results[slot] = {n: family_rule(fam, n) for n in order}
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            for n in sizes:
+                assert got[n].nodes.tobytes() == fresh[n].nodes.tobytes()
+                assert got[n].weights.tobytes() == fresh[n].weights.tobytes()
+                assert not got[n].nodes.flags.writeable and not got[n].weights.flags.writeable
+
+    def test_cache_is_bounded(self):
+        assert family_rule.cache_info().maxsize == quadrature._RULE_CACHE_SIZE

@@ -15,23 +15,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import sobolev_poly
 from .polycore import (
-    Chebyshev1,
     DensePolynomial,
     FamilySpec,
     Jacobi,
     LaguerreNeg,
+    orthonormal_coeffs,
     orthonormal_values,
     recurrence_coefficients,
 )
 
 __all__ = [
     "DifferentialOperator",
+    "family_operator",
     "jacobi_operator",
     "laguerre_operator",
     "apply",
     "eigenvalue_jacobi",
     "eigenvalue_laguerre",
+    "verify_eigen_relation",
     "verify_kernel_image",
     "verify_composed_equation",
 ]
@@ -46,22 +49,24 @@ class DifferentialOperator:
     p0: DensePolynomial
 
 
+def family_operator(family: FamilySpec, c: float) -> DifferentialOperator:
+    """The family's second-order operator with additive constant c.
+
+    It maps the degree-n orthonormal polynomial to
+    (c + family.spectral_term(n)) times itself.
+    """
+    p2, p1 = family.operator_coefficients()
+    return DifferentialOperator(p2=DensePolynomial(p2), p1=DensePolynomial(p1), p0=DensePolynomial.constant(c))
+
+
 def jacobi_operator(alpha: float, beta: float, c: float) -> DifferentialOperator:
     """(x^2 - 1) d2 + ((alpha+beta+2) x + alpha - beta) d1 + c."""
-    return DifferentialOperator(
-        p2=DensePolynomial([-1.0, 0.0, 1.0]),
-        p1=DensePolynomial([alpha - beta, alpha + beta + 2.0]),
-        p0=DensePolynomial.constant(c),
-    )
+    return family_operator(Jacobi(alpha, beta), c)
 
 
 def laguerre_operator(alpha: float, c: float) -> DifferentialOperator:
     """x d2 + (alpha + 1 + x) d1 + c."""
-    return DifferentialOperator(
-        p2=DensePolynomial([0.0, 1.0]),
-        p1=DensePolynomial([alpha + 1.0, 1.0]),
-        p0=DensePolynomial.constant(c),
-    )
+    return family_operator(LaguerreNeg(alpha), c)
 
 
 def apply(op: DifferentialOperator, f: DensePolynomial) -> DensePolynomial:
@@ -73,7 +78,7 @@ def apply(op: DifferentialOperator, f: DensePolynomial) -> DensePolynomial:
 
 def eigenvalue_jacobi(n: int, alpha: float, beta: float, c: float) -> float:
     """c + n (n + alpha + beta + 1)."""
-    return c + n * (n + alpha + beta + 1.0)
+    return c + Jacobi(alpha, beta).spectral_term(n)
 
 
 def eigenvalue_laguerre(n: int, c: float) -> float:
@@ -81,32 +86,28 @@ def eigenvalue_laguerre(n: int, c: float) -> float:
     return c + float(n)
 
 
-def _family_operator(family: FamilySpec, c: float) -> DifferentialOperator:
-    if isinstance(family, Jacobi):
-        return jacobi_operator(family.alpha, family.beta, c)
-    if isinstance(family, Chebyshev1):
-        return jacobi_operator(-0.5, -0.5, c)
-    if isinstance(family, LaguerreNeg):
-        return laguerre_operator(family.alpha, c)
-    raise TypeError(f"unknown family {family!r}")
+def _samples(family: FamilySpec, samples) -> np.ndarray:
+    # default: 25 points reaching 8 below the support edge
+    return family.sample_points(25, 8.0) if samples is None else np.asarray(samples, dtype=float)
 
 
-def _default_samples(family: FamilySpec, count: int = 25) -> np.ndarray:
-    if isinstance(family, LaguerreNeg):
-        return np.linspace(-8.0, 0.0, count)
-    return np.linspace(-1.0, 1.0, count)
+def verify_eigen_relation(family: FamilySpec, c: float, n_max: int) -> list[float]:
+    """Residuals of operator(g_n) == (c + spectral term) g_n for n = 0..n_max.
 
-
-def _scaled_kernel(family: FamilySpec, c: float, t0: float, n: int) -> DensePolynomial:
-    from . import kernels  # deferred: kernels imports the eigenvalues above
-
-    if isinstance(family, Jacobi):
-        return kernels.jacobi_sobolev_poly(family.alpha, family.beta, c, t0, n)
-    if isinstance(family, Chebyshev1):
-        return kernels.jacobi_sobolev_poly(-0.5, -0.5, c, t0, n)
-    if isinstance(family, LaguerreNeg):
-        return kernels.laguerre_sobolev_poly(family.alpha, c, t0, n)
-    raise TypeError(f"unknown family {family!r}")
+    Compared coefficient-wise in the monomial basis; each residual is
+    normalized by the larger of 1 and the largest coefficient of the
+    right side.
+    """
+    op = family_operator(family, c)
+    rc = recurrence_coefficients(family, max(n_max, 1))
+    per_n = []
+    for n in range(n_max + 1):
+        g = orthonormal_coeffs(family, rc, n)
+        lam = c + family.spectral_term(n)
+        diff = apply(op, g) - lam * g
+        scale = max(1.0, float(np.abs(lam * g.coeffs).max()))
+        per_n.append(float(np.abs(diff.coeffs).max()) / scale)
+    return per_n
 
 
 def verify_kernel_image(
@@ -118,43 +119,18 @@ def verify_kernel_image(
     difference, normalized per n by the larger of 1 and the plain
     kernel magnitude on the samples.
     """
-    xs = _default_samples(family) if samples is None else np.asarray(samples, dtype=float)
-    op = _family_operator(family, c)
+    xs = _samples(family, samples)
+    op = family_operator(family, c)
     rc = recurrence_coefficients(family, max(n_max, 1))
     gt = orthonormal_values(rc, n_max, t0)
     gx = orthonormal_values(rc, n_max, xs)
     worst = 0.0
     for n in range(n_max + 1):
-        image = apply(op, _scaled_kernel(family, c, t0, n))(xs)
+        image = apply(op, sobolev_poly(family, c, t0, n))(xs)
         plain = np.tensordot(gt[: n + 1], gx[: n + 1], axes=(0, 0))
         scale = max(1.0, float(np.abs(plain).max()))
         worst = max(worst, float(np.abs(image - plain).max()) / scale)
     return worst
-
-
-def _shifted_operator(family: FamilySpec) -> DifferentialOperator:
-    # raise the left weight exponent by one; the additive constant is zero
-    if isinstance(family, Jacobi):
-        return jacobi_operator(family.alpha + 1.0, family.beta, 0.0)
-    if isinstance(family, Chebyshev1):
-        return jacobi_operator(0.5, -0.5, 0.0)
-    if isinstance(family, LaguerreNeg):
-        return laguerre_operator(family.alpha + 1.0, 0.0)
-    raise TypeError(f"unknown family {family!r}")
-
-
-def _composed_eigenvalue(family: FamilySpec, n: int, reading: str) -> float:
-    if isinstance(family, LaguerreNeg):
-        return eigenvalue_laguerre(n, 0.0)
-    if isinstance(family, Chebyshev1):
-        alpha, beta = -0.5, -0.5
-    else:
-        alpha, beta = family.alpha, family.beta
-    if reading == "shifted":
-        return eigenvalue_jacobi(n, alpha + 1.0, beta, 0.0)
-    if reading == "unshifted":
-        return eigenvalue_jacobi(n, alpha, beta, 0.0)
-    raise ValueError("reading must be 'shifted' or 'unshifted'")
 
 
 def verify_composed_equation(
@@ -164,20 +140,23 @@ def verify_composed_equation(
 
     With q_n the operator image of the scaled kernel sum taken at
     t0 = support edge, checks shifted-operator(q_n) == eigenvalue * q_n
-    for n <= n_max.  ``reading`` selects whether the eigenvalue uses the
-    shifted first parameter (the convention this package adopts after
-    numerical arbitration) or the unshifted one; both are exposed so a
-    report can show the rejected alternative.
+    for n <= n_max, where the shifted operator is that of
+    ``family.raised()`` with constant zero.  ``reading`` selects whether
+    the eigenvalue uses the shifted first parameter (the convention this
+    package adopts after numerical arbitration) or the unshifted one;
+    both are exposed so a report can show the rejected alternative.
     """
-    xs = _default_samples(family) if samples is None else np.asarray(samples, dtype=float)
-    t0 = family.edge
-    inner = _family_operator(family, c)
-    outer = _shifted_operator(family)
+    if reading not in ("shifted", "unshifted"):
+        raise ValueError("reading must be 'shifted' or 'unshifted'")
+    xs = _samples(family, samples)
+    inner = family_operator(family, c)
+    outer = family_operator(family.raised(), 0.0)
+    eigen_family = family.raised() if reading == "shifted" else family
     worst = 0.0
     for n in range(n_max + 1):
-        q = apply(inner, _scaled_kernel(family, c, t0, n))
+        q = apply(inner, sobolev_poly(family, c, family.edge, n))
         lhs = apply(outer, q)(xs)
-        rhs = _composed_eigenvalue(family, n, reading) * q(xs)
+        rhs = eigen_family.spectral_term(n) * q(xs)
         scale = max(1.0, float(np.abs(rhs).max()))
         worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
     return worst

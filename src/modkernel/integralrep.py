@@ -43,6 +43,7 @@ __all__ = [
     "f_n_partial_sum",
     "sobolev_laguerre_integral_rep",
     "sobolev_laguerre_closed_form",
+    "integral_rep_errors",
 ]
 
 
@@ -226,6 +227,20 @@ def _exp_range_guard(x: float) -> None:
         )
 
 
+def _outer_cutoff(route: str, alpha: float, n: int, x: float, cfg: SpecialFnConfig) -> float:
+    """Check the arguments of an outer Bessel integral; return its cutoff T."""
+    if not x < 0.0:
+        raise ValueError(f"the {route} needs strictly negative x")
+    if not alpha > -1.0:
+        raise ValueError("alpha must exceed -1")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    _exp_range_guard(x)
+    cutoff = cfg.outer_cutoff if cfg.outer_cutoff is not None else _auto_cutoff(n + alpha / 2.0, cfg.tail_rel)
+    _tail_guard(n + alpha / 2.0, cutoff, cfg.tail_rel)
+    return cutoff
+
+
 def laguerre_via_bessel(alpha: float, n: int, x: float, cfg: SpecialFnConfig = DEFAULT_CONFIG) -> float:
     """L_n^alpha(-x) for x < 0 through its Bessel integral.
 
@@ -234,17 +249,8 @@ def laguerre_via_bessel(alpha: float, n: int, x: float, cfg: SpecialFnConfig = D
     algebraic origin factor t^(n+alpha) (Bessel part included) is
     absorbed into the quadrature weight.
     """
-    if not x < 0.0:
-        raise ValueError("the Bessel route needs strictly negative x")
-    if not alpha > -1.0:
-        raise ValueError("alpha must exceed -1")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    _exp_range_guard(x)
-    p = n + alpha
-    cutoff = cfg.outer_cutoff if cfg.outer_cutoff is not None else _auto_cutoff(n + alpha / 2.0, cfg.tail_rel)
-    _tail_guard(n + alpha / 2.0, cutoff, cfg.tail_rel)
-    t, w, factor = _outer_rule(p, cutoff, cfg.outer_rule_size)
+    cutoff = _outer_cutoff("Bessel route", alpha, n, x, cfg)
+    t, w, factor = _outer_rule(n + alpha, cutoff, cfg.outer_rule_size)
     reg, reg_err = _bessel_reg(alpha, -t * x, cfg.series_tol)
     g = np.exp(-t) * (-x) ** (alpha / 2.0) * reg
     g_err = np.exp(-t) * (-x) ** (alpha / 2.0) * reg_err
@@ -296,15 +302,7 @@ def sobolev_laguerre_integral_rep(
     """
     if not (isinstance(c, (int, np.integer)) and c >= 1):
         raise ValueError("c must be a positive integer")
-    if not x < 0.0:
-        raise ValueError("the integral representation needs strictly negative x")
-    if not alpha > -1.0:
-        raise ValueError("alpha must exceed -1")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    _exp_range_guard(x)
-    cutoff = cfg.outer_cutoff if cfg.outer_cutoff is not None else _auto_cutoff(n + alpha / 2.0, cfg.tail_rel)
-    _tail_guard(n + alpha / 2.0, cutoff, cfg.tail_rel)
+    cutoff = _outer_cutoff("integral representation", alpha, n, x, cfg)
     t, w, factor = _outer_rule(alpha, cutoff, cfg.outer_rule_size)
     inner_size = max(cfg.inner_rule_size, (n + int(c)) // 2 + 2)
     s_in, w_in = _inner_rule(inner_size)
@@ -335,3 +333,18 @@ def sobolev_laguerre_closed_form(alpha: float, c: float, n: int, x) -> float:
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(res)
     return res
+
+
+def integral_rep_errors(alpha: float, c: int, n_max: int, x_grid, cfg: SpecialFnConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Relative errors of the double integral against the closed form.
+
+    Entry [n, j] is |integral - closed| / max(|closed|, 1) at order n and
+    x = x_grid[j], for n = 0..n_max.
+    """
+    err = np.zeros((n_max + 1, len(x_grid)))
+    for n in range(n_max + 1):
+        for j, x in enumerate(x_grid):
+            ref = sobolev_laguerre_closed_form(alpha, float(c), n, x)
+            got = sobolev_laguerre_integral_rep(alpha, c, n, x, cfg)
+            err[n, j] = abs(got - ref) / max(abs(ref), 1.0)
+    return err

@@ -18,10 +18,8 @@ from typing import Union
 
 import numpy as np
 
-from .diffop import eigenvalue_jacobi, eigenvalue_laguerre
 from .pencil import WeightSequence
 from .polycore import (
-    Chebyshev1,
     DensePolynomial,
     FamilySpec,
     Jacobi,
@@ -43,6 +41,7 @@ __all__ = [
     "modified_kernel_values",
     "second_kind_eval",
     "second_kind_values",
+    "sobolev_poly",
     "jacobi_sobolev_poly",
     "laguerre_sobolev_poly",
     "chebyshev_t",
@@ -108,16 +107,6 @@ class ModifiedKernelSpec:
         return rc, generate_weights(self.family, rc, self.weights, self.n_max + 2)
 
 
-def _spectral_term(family: FamilySpec, k: np.ndarray) -> np.ndarray:
-    if isinstance(family, Jacobi):
-        return k * (k + family.alpha + family.beta + 1.0)
-    if isinstance(family, LaguerreNeg):
-        return k.astype(float)
-    if isinstance(family, Chebyshev1):
-        return k.astype(float) ** 2
-    raise TypeError(f"unknown family {family!r}")
-
-
 def generate_weights(
     family: FamilySpec, rc: RecurrenceCoefficients, rule: WeightRule, n_max: int
 ) -> WeightSequence:
@@ -128,7 +117,7 @@ def generate_weights(
     elif isinstance(rule, EigScaledKernel):
         _check_edge(family, rule.t0)
         k = np.arange(n_max + 1)
-        vals = orthonormal_values(rc, n_max, rule.t0) / (rule.c + _spectral_term(family, k))
+        vals = orthonormal_values(rc, n_max, rule.t0) / (rule.c + family.spectral_term(k))
     elif isinstance(rule, SecondKind):
         q = second_kind_values(rc, n_max, rule.t0)
         vals = q.copy()
@@ -206,34 +195,23 @@ def second_kind_eval(family: FamilySpec, rc: RecurrenceCoefficients, n: int, t: 
     return float(second_kind_values(rc, n, t)[n])
 
 
+def sobolev_poly(family: FamilySpec, c: float, t0: float, n: int) -> DensePolynomial:
+    """Eigenvalue-scaled kernel sum of order n: weights g_k(t0) / (c + spectral term).
+
+    The modified kernel with ``EigScaledKernel(c, t0)``; needs c > 0 and
+    t0 at or beyond the support edge.
+    """
+    return modified_kernel(ModifiedKernelSpec(family, EigScaledKernel(c, t0), n), n)
+
+
 def jacobi_sobolev_poly(alpha: float, beta: float, c: float, t0: float, n: int) -> DensePolynomial:
     """Eigenvalue-scaled Jacobi kernel sum of order n; t0 >= 1, c > 0."""
-    if not c > 0.0:
-        raise ValueError("c must be positive")
-    fam = Jacobi(alpha, beta)
-    if t0 < 1.0:
-        raise ValueError(f"t0 = {t0} must be at least 1")
-    rc = recurrence_coefficients(fam, max(n, 1))
-    gt = orthonormal_values(rc, n, t0)
-    acc = DensePolynomial.zero()
-    for k in range(n + 1):
-        acc = acc + (gt[k] / eigenvalue_jacobi(k, alpha, beta, c)) * orthonormal_coeffs(fam, rc, k)
-    return acc
+    return sobolev_poly(Jacobi(alpha, beta), c, t0, n)
 
 
 def laguerre_sobolev_poly(alpha: float, c: float, t0: float, n: int) -> DensePolynomial:
     """Eigenvalue-scaled reflected-Laguerre kernel sum; t0 >= 0, c > 0."""
-    if not c > 0.0:
-        raise ValueError("c must be positive")
-    fam = LaguerreNeg(alpha)
-    if t0 < 0.0:
-        raise ValueError(f"t0 = {t0} must be at least 0")
-    rc = recurrence_coefficients(fam, max(n, 1))
-    gt = orthonormal_values(rc, n, t0)
-    acc = DensePolynomial.zero()
-    for k in range(n + 1):
-        acc = acc + (gt[k] / eigenvalue_laguerre(k, c)) * orthonormal_coeffs(fam, rc, k)
-    return acc
+    return sobolev_poly(LaguerreNeg(alpha), c, t0, n)
 
 
 def _chebyshev_pair(n: int, x) -> tuple[np.ndarray, np.ndarray]:
@@ -253,13 +231,7 @@ def _chebyshev_pair(n: int, x) -> tuple[np.ndarray, np.ndarray]:
 
 def chebyshev_t(c: float, n: int, x) -> float:
     """t_n(c; x) = 1/(pi c) + (2/pi) sum_{k=1}^n T_k(x)/(k^2 + c)."""
-    if not c > 0.0:
-        raise ValueError("c must be positive")
-    tk, _ = _chebyshev_pair(n, x)
-    k = np.arange(1, n + 1)
-    acc = np.full(np.asarray(x, dtype=float).shape, 1.0 / (math.pi * c))
-    if n >= 1:
-        acc = acc + (2.0 / math.pi) * np.tensordot(1.0 / (k * k + c), tk[1:], axes=(0, 0))
+    acc, _ = chebyshev_t_with_derivative(c, n, x)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(acc)
     return acc

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polycore import DensePolynomial, RecurrenceCoefficients
+from .polycore import DensePolynomial, RecurrenceCoefficients, orthonormal_values
 
 __all__ = [
     "WeightSequence",
@@ -36,6 +36,7 @@ __all__ = [
     "associated_polynomials",
     "associated_values",
     "five_term_residual",
+    "weighted_sum_residual",
 ]
 
 
@@ -382,3 +383,17 @@ def five_term_residual(p: JacobiTypePencil, polys, lambdas, scaled: bool = False
     if scaled:
         return worst / max(scale, 1.0)
     return worst
+
+
+def weighted_sum_residual(rc: RecurrenceCoefficients, w: WeightSequence, values: np.ndarray, lambdas) -> float:
+    """Max relative mismatch between pencil solutions and normalized weighted sums.
+
+    ``values`` holds p_0..p_n at ``lambdas`` (from ``associated_values``);
+    the reference side sums c_k g_k directly and divides by c_0 g_0.
+    Each row is normalized by the larger of 1 and its reference magnitude.
+    """
+    n = values.shape[0] - 1
+    g = orthonormal_values(rc, n, np.asarray(lambdas, dtype=float))
+    ref = np.cumsum(w.c[: n + 1, None] * g, axis=0) / (w[0] * rc.g0)
+    scale = np.maximum(1.0, np.abs(ref).max(axis=1, keepdims=True))
+    return float((np.abs(values - ref) / scale).max())

@@ -165,60 +165,6 @@ def poly_derivative(p: DensePolynomial) -> DensePolynomial:
 
 
 @dataclass(frozen=True)
-class Jacobi:
-    """Weight (1-x)^alpha (1+x)^beta on [-1, 1]; alpha, beta > -1."""
-
-    alpha: float
-    beta: float
-    name = "jacobi"
-    support = (-1.0, 1.0)
-
-    def __post_init__(self) -> None:
-        if not (self.alpha > -1.0 and self.beta > -1.0):
-            raise ValueError(f"Jacobi parameters must exceed -1, got ({self.alpha}, {self.beta})")
-
-    @property
-    def edge(self) -> float:
-        return 1.0
-
-
-@dataclass(frozen=True)
-class LaguerreNeg:
-    """Weight (-x)^alpha e^x on (-inf, 0]; alpha > -1.
-
-    Realized by reflecting the orthonormal Laguerre family, with signs
-    arranged so every member keeps a positive leading coefficient.
-    """
-
-    alpha: float
-    name = "laguerre-neg"
-    support = (-math.inf, 0.0)
-
-    def __post_init__(self) -> None:
-        if not self.alpha > -1.0:
-            raise ValueError(f"LaguerreNeg parameter must exceed -1, got {self.alpha}")
-
-    @property
-    def edge(self) -> float:
-        return 0.0
-
-
-@dataclass(frozen=True)
-class Chebyshev1:
-    """First-kind Chebyshev weight 1/sqrt(1-x^2) on [-1, 1]."""
-
-    name = "chebyshev1"
-    support = (-1.0, 1.0)
-
-    @property
-    def edge(self) -> float:
-        return 1.0
-
-
-FamilySpec = Union[Jacobi, LaguerreNeg, Chebyshev1]
-
-
-@dataclass(frozen=True)
 class RecurrenceCoefficients:
     """Coefficients of x g_n = a_hat[n-1] g_{n-1} + b_hat[n] g_n + a_hat[n] g_{n+1}.
 
@@ -251,19 +197,157 @@ class RecurrenceCoefficients:
             raise ValueError(f"index {n} outside the computed range 0..{self.n_max}")
 
 
-def _jacobi_recurrence(alpha: float, beta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    # closed-form monic coefficients, symmetrized to the orthonormal form
-    ab = alpha + beta
-    b_hat = np.empty(n_max + 1)
-    b_hat[0] = (beta - alpha) / (ab + 2.0)
-    for k in range(1, n_max + 1):
-        b_hat[k] = (beta * beta - alpha * alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
-    sq = np.empty(n_max + 1)
-    sq[0] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
-    for k in range(2, n_max + 2):
-        s = 2.0 * k + ab
-        sq[k - 1] = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s + 1.0) * (s - 1.0))
-    return np.sqrt(sq), b_hat
+class _Family:
+    """The family protocol.
+
+    Each family supplies ``recurrence(n_max)``; ``moments(k_max)`` from
+    closed forms, never from the recurrence or a rule; ``spectral_term(k)``,
+    the operator eigenvalue at degree k less the constant c;
+    ``operator_coefficients()``, ascending p2 and p1 of p2 f'' + p1 f' + c f;
+    and ``raised()``, the family with its left exponent one higher.
+    """
+
+    support: tuple[float, float]
+
+    @property
+    def edge(self) -> float:
+        """Right end of the support; kernel weights are positive from here up."""
+        return self.support[1]
+
+    def sample_points(self, count: int, reach: float) -> np.ndarray:
+        """``count`` equispaced points over the support, at most ``reach`` below the edge."""
+        lo, hi = self.support
+        return np.linspace(max(lo, hi - reach), hi, count)
+
+
+class _JacobiType(_Family):
+    """Operator data of the weights (1-x)^alpha (1+x)^beta on [-1, 1]."""
+
+    alpha: float
+    beta: float
+    support = (-1.0, 1.0)
+
+    def spectral_term(self, k):
+        """k (k + alpha + beta + 1)."""
+        return k * (k + self.alpha + self.beta + 1.0)
+
+    def operator_coefficients(self) -> tuple[list[float], list[float]]:
+        """(x^2 - 1) f'' + ((alpha+beta+2) x + alpha - beta) f'."""
+        return [-1.0, 0.0, 1.0], [self.alpha - self.beta, self.alpha + self.beta + 2.0]
+
+    def raised(self) -> "Jacobi":
+        return Jacobi(self.alpha + 1.0, self.beta)
+
+
+@dataclass(frozen=True)
+class Jacobi(_JacobiType):
+    """Weight (1-x)^alpha (1+x)^beta on [-1, 1]; alpha, beta > -1."""
+
+    alpha: float
+    beta: float
+    name = "jacobi"
+
+    def __post_init__(self) -> None:
+        if not (self.alpha > -1.0 and self.beta > -1.0):
+            raise ValueError(f"Jacobi parameters must exceed -1, got ({self.alpha}, {self.beta})")
+
+    def recurrence(self, n_max: int) -> RecurrenceCoefficients:
+        # closed-form monic coefficients, symmetrized to the orthonormal form
+        alpha, beta = self.alpha, self.beta
+        ab = alpha + beta
+        b_hat = np.empty(n_max + 1)
+        b_hat[0] = (beta - alpha) / (ab + 2.0)
+        for k in range(1, n_max + 1):
+            b_hat[k] = (beta * beta - alpha * alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
+        sq = np.empty(n_max + 1)
+        sq[0] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
+        for k in range(2, n_max + 2):
+            s = 2.0 * k + ab
+            sq[k - 1] = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s + 1.0) * (s - 1.0))
+        mu0 = 2.0 ** (ab + 1.0) * beta_fn(alpha + 1.0, beta + 1.0)
+        return RecurrenceCoefficients(a_hat=np.sqrt(sq), b_hat=b_hat, mu0=mu0)
+
+    def moments(self, k_max: int) -> np.ndarray:
+        # a stable three-term moment recurrence
+        a, b = self.alpha, self.beta
+        m = np.zeros(k_max + 1)
+        m[0] = 2.0 ** (a + b + 1.0) * beta_fn(a + 1.0, b + 1.0)
+        if k_max >= 1:
+            m[1] = (b - a) / (a + b + 2.0) * m[0]
+        for k in range(1, k_max):
+            m[k + 1] = (k * m[k - 1] + (b - a) * m[k]) / (k + a + b + 2.0)
+        return m
+
+
+@dataclass(frozen=True)
+class LaguerreNeg(_Family):
+    """Weight (-x)^alpha e^x on (-inf, 0]; alpha > -1.
+
+    Realized by reflecting the orthonormal Laguerre family, with signs
+    arranged so every member keeps a positive leading coefficient.
+    """
+
+    alpha: float
+    name = "laguerre-neg"
+    support = (-math.inf, 0.0)
+
+    def __post_init__(self) -> None:
+        if not self.alpha > -1.0:
+            raise ValueError(f"LaguerreNeg parameter must exceed -1, got {self.alpha}")
+
+    def recurrence(self, n_max: int) -> RecurrenceCoefficients:
+        n = np.arange(n_max + 1, dtype=float)
+        return RecurrenceCoefficients(
+            a_hat=np.sqrt((n + 1.0) * (n + self.alpha + 1.0)),
+            b_hat=-(2.0 * n + self.alpha + 1.0),
+            mu0=gamma_fn(self.alpha + 1.0),
+        )
+
+    def moments(self, k_max: int) -> np.ndarray:
+        # reflected gamma values
+        return np.array([(-1.0) ** k * gamma_fn(self.alpha + k + 1.0) for k in range(k_max + 1)])
+
+    def spectral_term(self, k):
+        """k."""
+        return 1.0 * k
+
+    def operator_coefficients(self) -> tuple[list[float], list[float]]:
+        """x f'' + (alpha + 1 + x) f'."""
+        return [0.0, 1.0], [self.alpha + 1.0, 1.0]
+
+    def raised(self) -> "LaguerreNeg":
+        return LaguerreNeg(self.alpha + 1.0)
+
+
+@dataclass(frozen=True)
+class Chebyshev1(_JacobiType):
+    """First-kind Chebyshev weight 1/sqrt(1-x^2) on [-1, 1].
+
+    This is the Jacobi weight at alpha = beta = -1/2 and shares its
+    operator; the recurrence and moments are its own closed forms.
+    """
+
+    alpha = -0.5
+    beta = -0.5
+    name = "chebyshev1"
+
+    def recurrence(self, n_max: int) -> RecurrenceCoefficients:
+        a_hat = np.full(n_max + 1, 0.5)
+        a_hat[0] = 1.0 / math.sqrt(2.0)
+        return RecurrenceCoefficients(a_hat=a_hat, b_hat=np.zeros(n_max + 1), mu0=math.pi)
+
+    def moments(self, k_max: int) -> np.ndarray:
+        # double-factorial ratios; odd moments vanish
+        m = np.zeros(k_max + 1)
+        m[0] = math.pi
+        val = math.pi
+        for j in range(1, k_max // 2 + 1):
+            val *= (2.0 * j - 1.0) / (2.0 * j)
+            m[2 * j] = val
+        return m
+
+
+FamilySpec = Union[Jacobi, LaguerreNeg, Chebyshev1]
 
 
 def recurrence_coefficients(family: FamilySpec, n_max: int) -> RecurrenceCoefficients:
@@ -279,22 +363,7 @@ def recurrence_coefficients(family: FamilySpec, n_max: int) -> RecurrenceCoeffic
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if isinstance(family, Jacobi):
-        a_hat, b_hat = _jacobi_recurrence(family.alpha, family.beta, n_max)
-        mu0 = 2.0 ** (family.alpha + family.beta + 1.0) * beta_fn(family.alpha + 1.0, family.beta + 1.0)
-    elif isinstance(family, LaguerreNeg):
-        n = np.arange(n_max + 1, dtype=float)
-        a_hat = np.sqrt((n + 1.0) * (n + family.alpha + 1.0))
-        b_hat = -(2.0 * n + family.alpha + 1.0)
-        mu0 = gamma_fn(family.alpha + 1.0)
-    elif isinstance(family, Chebyshev1):
-        a_hat = np.full(n_max + 1, 0.5)
-        a_hat[0] = 1.0 / math.sqrt(2.0)
-        b_hat = np.zeros(n_max + 1)
-        mu0 = math.pi
-    else:
-        raise TypeError(f"unknown family {family!r}")
-    return RecurrenceCoefficients(a_hat=a_hat, b_hat=b_hat, mu0=mu0)
+    return family.recurrence(n_max)
 
 
 def orthonormal_eval2(

@@ -19,16 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffop import apply as diffop_apply
-from .diffop import jacobi_operator, laguerre_operator
-from .polycore import Chebyshev1, DensePolynomial, FamilySpec, Jacobi, LaguerreNeg
-from .quadrature import QuadratureRule
+from .diffop import family_operator
+from .kernels import sobolev_poly
+from .polycore import DensePolynomial, FamilySpec, Jacobi, LaguerreNeg
+from .quadrature import QuadratureRule, family_rule
 
 __all__ = [
     "MatrixWeight",
+    "matrix_weight",
     "jacobi_matrix_weight",
     "laguerre_matrix_weight",
     "sobolev_inner",
     "gram_matrix",
+    "sobolev_gram",
     "gram_offdiagonal_measures",
     "rank_one_factorization_check",
 ]
@@ -86,6 +89,16 @@ def laguerre_matrix_weight(alpha: float, c: float, t0: float) -> MatrixWeight:
     )
 
 
+def matrix_weight(family: FamilySpec, c: float, t0: float) -> MatrixWeight:
+    """The family's matrix weight; Chebyshev1 takes its Jacobi(-1/2, -1/2) form."""
+    # the one family branch left: the two constructors write out v on their
+    # own, as the side of rank_one_factorization_check that family_operator
+    # does not supply
+    if isinstance(family, LaguerreNeg):
+        return laguerre_matrix_weight(family.alpha, c, t0)
+    return jacobi_matrix_weight(family.alpha, family.beta, c, t0)
+
+
 def _edge_factor(wgt: MatrixWeight, nodes: np.ndarray) -> np.ndarray:
     fac = wgt.t0 - nodes
     if np.any(fac < 0.0):
@@ -128,15 +141,22 @@ def gram_matrix(wgt: MatrixWeight, polys, rule: QuadratureRule) -> np.ndarray:
     polys = list(polys)
     if not polys:
         return np.zeros((0, 0))
-    top = max(p.degree for p in polys)
-    need = 2 * max(top, 0) + 1
-    if rule.exact_degree < need:
-        raise ValueError(
-            f"rule is exact to degree {rule.exact_degree}, but the largest pair needs {need}"
-        )
+    top = max(polys, key=lambda p: p.degree)
+    _require_degree(rule, top, top)
     fac = _edge_factor(wgt, rule.nodes)
     rows = np.array([wgt.operator_image(p, rule.nodes) for p in polys])
     return (rows * (rule.weights * fac)) @ rows.T
+
+
+def sobolev_gram(family: FamilySpec, c: float, t0: float, n_max: int) -> np.ndarray:
+    """Gram matrix of ``sobolev_poly(family, c, t0, n)``, n = 0..n_max.
+
+    Taken against ``matrix_weight(family, c, t0)`` with the
+    (n_max + 2)-point Gauss rule of its base weight.
+    """
+    wgt = matrix_weight(family, c, t0)
+    polys = [sobolev_poly(family, c, t0, n) for n in range(n_max + 1)]
+    return gram_matrix(wgt, polys, family_rule(wgt.family, n_max + 2))
 
 
 def gram_offdiagonal_measures(gram: np.ndarray) -> dict[str, float]:
@@ -185,12 +205,7 @@ def rank_one_factorization_check(wgt: MatrixWeight, sample_xs, seed: int = 20260
         scale = max(1.0, float(np.abs(outer).max()))
         if np.abs(entry - outer).max() > 1e-12 * scale:
             return False
-    if isinstance(wgt.family, (Jacobi, Chebyshev1)):
-        al = getattr(wgt.family, "alpha", -0.5)
-        be = getattr(wgt.family, "beta", -0.5)
-        op = jacobi_operator(al, be, wgt.c)
-    else:
-        op = laguerre_operator(wgt.family.alpha, wgt.c)
+    op = family_operator(wgt.family, wgt.c)
     rng = np.random.default_rng(seed)
     for _ in range(5):
         deg = int(rng.integers(0, 9))

@@ -1,289 +1,24 @@
-"""Acceptance battery: every exit criterion at its stated tolerance.
+"""Acceptance battery: one test per criterion of ``modkernel.acceptance``.
 
-Each test prints one PASS/FAIL line (run pytest with -s to see them all
-on success).  Criteria with a runtime budget assert it too.
+Case lists, measures, tolerances and time budgets live only in the
+registry; each test here is named after its criterion's measure function
+and asserts the registry's verdict.  Run pytest with -s to see one
+PASS/FAIL line per criterion.
 """
 
-import math
-import time
-
-import numpy as np
-import pytest
-
-from modkernel.diffop import (
-    apply,
-    eigenvalue_jacobi,
-    eigenvalue_laguerre,
-    jacobi_operator,
-    laguerre_operator,
-    verify_composed_equation,
-    verify_kernel_image,
-)
-from modkernel.integralrep import SpecialFnConfig, sobolev_laguerre_closed_form, sobolev_laguerre_integral_rep
-from modkernel.kernels import (
-    EigScaledKernel,
-    PlainKernel,
-    chebyshev_bounds_check,
-    generate_weights,
-    jacobi_sobolev_poly,
-    laguerre_sobolev_poly,
-    quadratic_discriminant,
-)
-from modkernel.pencil import WeightSequence, associated_values, build_pencil_formulas, path_equivalence_residual
-from modkernel.polycore import (
-    Chebyshev1,
-    Jacobi,
-    LaguerreNeg,
-    orthonormal_coeffs,
-    orthonormal_values,
-    recurrence_coefficients,
-)
-from modkernel.quadrature import gauss_rule, weight_moments
-from modkernel.sobolev import (
-    gram_matrix,
-    gram_offdiagonal_measures,
-    jacobi_matrix_weight,
-    laguerre_matrix_weight,
-)
-
-SEED = 20260808
+from modkernel.acceptance import CRITERIA, evaluate
 
 
-def report(name, measured, tolerance, passed):
-    print(f"{'PASS' if passed else 'FAIL'} {name}: measured={measured:.3e} tolerance={tolerance:.1e}")
+def _criterion_test(criterion):
+    def test():
+        verdict = evaluate(criterion)
+        print(verdict.summary, verdict.details)
+        assert verdict.passed, f"{verdict.summary} {verdict.details}"
+
+    test.__name__ = test.__qualname__ = f"test_{criterion.measure.__name__}"
+    return test
 
 
-def sample_points(family, count=21):
-    if isinstance(family, LaguerreNeg):
-        return np.linspace(-12.0, 0.0, count)
-    return np.linspace(-1.0, 1.0, count)
-
-
-def test_criterion_01_recurrence_equivalence():
-    # 3 families x 4 weight sequences, orders up to 25, 1e-9 relative
-    start = time.time()
-    worst = 0.0
-    for family in (Jacobi(0.5, -0.3), LaguerreNeg(0.0), Chebyshev1()):
-        rc = recurrence_coefficients(family, 28)
-        kernel_t0 = 0.5 if isinstance(family, LaguerreNeg) else family.edge
-        near_t0 = 0.5 if isinstance(family, LaguerreNeg) else 1.1
-        sequences = [
-            WeightSequence(np.ones(29)),
-            WeightSequence(1.0 / (np.arange(29.0) + 1.0) ** 2 + 1.0),
-            generate_weights(family, rc, PlainKernel(kernel_t0), 28),
-            generate_weights(family, rc, EigScaledKernel(1.0, near_t0), 28),
-        ]
-        xs = sample_points(family)
-        for w in sequences:
-            pen = build_pencil_formulas(rc, w, 26)
-            vals = associated_values(pen, xs, 25)
-            g = orthonormal_values(rc, 25, xs)
-            ref = np.cumsum(w.c[:26, None] * g, axis=0) / (w[0] * rc.g0)
-            scale = np.maximum(1.0, np.abs(ref).max(axis=1, keepdims=True))
-            worst = max(worst, float((np.abs(vals - ref) / scale).max()))
-    elapsed = time.time() - start
-    passed = worst <= 1e-9 and elapsed <= 10.0
-    report("criterion-01-recurrence-equivalence", worst, 1e-9, passed)
-    assert worst <= 1e-9
-    assert elapsed <= 10.0
-
-
-def test_criterion_02_path_equality_at_200():
-    start = time.time()
-    rc = recurrence_coefficients(Chebyshev1(), 200)
-    rng = np.random.default_rng(SEED)
-    w = WeightSequence(0.5 + rng.random(201))
-    worst = path_equivalence_residual(rc, w, 200)
-    rc_j = recurrence_coefficients(Jacobi(0.5, -0.3), 200)
-    w_j = WeightSequence(0.5 + np.random.default_rng(SEED + 1).random(201))
-    worst = max(worst, path_equivalence_residual(rc_j, w_j, 200))
-    elapsed = time.time() - start
-    passed = worst <= 1e-12 and elapsed <= 1.0
-    report("criterion-02-path-equality", worst, 1e-12, passed)
-    assert worst <= 1e-12
-    assert elapsed <= 1.0
-
-
-def _gram_sweep(cases, builder):
-    worst_norm = 0.0
-    diag_positive = True
-    for family, c, t0 in cases:
-        wgt, polys = builder(family, c, t0)
-        rc = recurrence_coefficients(wgt.family, 14)
-        rule = gauss_rule(wgt.family, rc, 14)
-        gram = gram_matrix(wgt, polys, rule)
-        meas = gram_offdiagonal_measures(gram)
-        diag_positive = diag_positive and meas["diag_min"] > 0.0
-        worst_norm = max(worst_norm, meas["normalized"])
-    return worst_norm, diag_positive
-
-
-def test_criterion_03_jacobi_sobolev_orthogonality():
-    start = time.time()
-    cases = [
-        (Jacobi(a, b), c, t0)
-        for a in (-0.5, 0.0, 1.7)
-        for b in (-0.5, 0.0, 1.7)
-        for c in (0.1, 1.0, 10.0)
-        for t0 in (1.0, 2.0)
-    ]
-
-    def builder(family, c, t0):
-        wgt = jacobi_matrix_weight(family.alpha, family.beta, c, t0)
-        polys = [jacobi_sobolev_poly(family.alpha, family.beta, c, t0, n) for n in range(13)]
-        return wgt, polys
-
-    worst, diag_ok = _gram_sweep(cases, builder)
-    elapsed = time.time() - start
-    passed = worst <= 1e-9 and diag_ok and elapsed <= 5.0
-    report("criterion-03-jacobi-gram", worst, 1e-9, passed)
-    assert diag_ok
-    assert worst <= 1e-9
-    assert elapsed <= 5.0
-
-
-def test_criterion_04_laguerre_sobolev_orthogonality():
-    start = time.time()
-    cases = [(LaguerreNeg(a), c, t0) for a in (0.0, 0.5, 3.0) for c in (0.1, 1.0, 10.0) for t0 in (0.0, 1.0)]
-
-    def builder(family, c, t0):
-        wgt = laguerre_matrix_weight(family.alpha, c, t0)
-        polys = [laguerre_sobolev_poly(family.alpha, c, t0, n) for n in range(13)]
-        return wgt, polys
-
-    worst, diag_ok = _gram_sweep(cases, builder)
-    elapsed = time.time() - start
-    passed = worst <= 1e-9 and diag_ok and elapsed <= 5.0
-    report("criterion-04-laguerre-gram", worst, 1e-9, passed)
-    assert diag_ok
-    assert worst <= 1e-9
-    assert elapsed <= 5.0
-
-
-def test_criterion_05_chebyshev_explicit_fixtures():
-    worst = 0.0
-    for c in (0.1, 1.0, 10.0):
-        p1 = math.pi * jacobi_sobolev_poly(-0.5, -0.5, c, 1.0, 1)
-        p2 = math.pi * jacobi_sobolev_poly(-0.5, -0.5, c, 1.0, 2)
-        ref1 = np.array([1.0 / c, 2.0 / (c + 1.0)])
-        ref2 = np.array([1.0 / c - 2.0 / (c + 4.0), 2.0 / (c + 1.0), 4.0 / (c + 4.0)])
-        worst = max(worst, float(np.abs(p1.coeffs - ref1).max() / np.abs(ref1).max()))
-        worst = max(worst, float(np.abs(p2.coeffs - ref2).max() / np.abs(ref2).max()))
-        root = -p1.coeffs[0] / p1.coeffs[1]
-        worst = max(worst, abs(root - (-(c + 1.0) / (2.0 * c))) / abs((c + 1.0) / (2.0 * c)))
-    report("criterion-05-chebyshev-fixtures", worst, 1e-12, worst <= 1e-12)
-    assert worst <= 1e-12
-
-
-def test_criterion_06_chebyshev_bounds():
-    start = time.time()
-    all_ok = True
-    for c in (0.01, 1.0, 100.0):
-        for n in range(0, 21):
-            max_val, max_der, ok = chebyshev_bounds_check(c, n, 10001)
-            all_ok = all_ok and ok
-    elapsed = time.time() - start
-    passed = all_ok and elapsed <= 2.0
-    report("criterion-06-chebyshev-bounds", 0.0 if all_ok else 1.0, 0.0, passed)
-    assert all_ok
-    assert elapsed <= 2.0
-
-
-def test_criterion_07_eigen_relations():
-    worst = 0.0
-    for alpha, beta, c in ((0.5, -0.3, 2.0), (-0.5, -0.5, 1.0), (1.7, 0.0, 0.1)):
-        fam = Jacobi(alpha, beta)
-        rc = recurrence_coefficients(fam, 16)
-        op = jacobi_operator(alpha, beta, c)
-        for n in range(16):
-            g = orthonormal_coeffs(fam, rc, n)
-            lam = eigenvalue_jacobi(n, alpha, beta, c)
-            diff = apply(op, g) - lam * g
-            scale = max(1.0, float(np.abs(lam * g.coeffs).max()))
-            worst = max(worst, float(np.abs(diff.coeffs).max()) / scale)
-    for alpha, c in ((0.0, 2.0), (0.5, 0.1), (3.0, 1.0)):
-        fam = LaguerreNeg(alpha)
-        rc = recurrence_coefficients(fam, 16)
-        op = laguerre_operator(alpha, c)
-        for n in range(16):
-            g = orthonormal_coeffs(fam, rc, n)
-            lam = eigenvalue_laguerre(n, c)
-            diff = apply(op, g) - lam * g
-            scale = max(1.0, float(np.abs(lam * g.coeffs).max()))
-            worst = max(worst, float(np.abs(diff.coeffs).max()) / scale)
-    report("criterion-07-eigen-relations", worst, 1e-11, worst <= 1e-11)
-    assert worst <= 1e-11
-
-
-def test_criterion_08_kernel_image_identities():
-    worst = max(
-        verify_kernel_image(Jacobi(0.5, -0.3), 2.0, 1.5, 12),
-        verify_kernel_image(Chebyshev1(), 1.0, 1.0, 12),
-        verify_kernel_image(LaguerreNeg(1.0), 0.5, 0.0, 12),
-        verify_kernel_image(LaguerreNeg(0.0), 2.0, 1.0, 12),
-    )
-    report("criterion-08-kernel-image", worst, 1e-10, worst <= 1e-10)
-    assert worst <= 1e-10
-
-
-def test_criterion_09_composed_equations():
-    worst = max(
-        verify_composed_equation(Jacobi(-0.5, -0.5), 1.0, 10),
-        verify_composed_equation(Jacobi(0.5, -0.3), 2.0, 10),
-        verify_composed_equation(LaguerreNeg(0.0), 2.0, 10),
-        verify_composed_equation(LaguerreNeg(1.5), 0.3, 10),
-    )
-    report("criterion-09-composed-equation", worst, 1e-9, worst <= 1e-9)
-    # the adopted convention: the outer operator's eigenvalue is taken at
-    # the raised first parameter; the alternative fails by twelve orders
-    assert verify_composed_equation(Jacobi(-0.5, -0.5), 1.0, 10, reading="unshifted") > 1e-2
-    assert worst <= 1e-9
-
-
-def test_criterion_10_integral_representation():
-    start = time.time()
-    cfg = SpecialFnConfig()
-    worst = 0.0
-    for alpha in (0.0, 0.5, 2.0):
-        for c in (1, 2, 3):
-            for n in range(0, 7):
-                for x in (-0.5, -1.0, -5.0):
-                    got = sobolev_laguerre_integral_rep(alpha, c, n, x, cfg)
-                    ref = sobolev_laguerre_closed_form(alpha, float(c), n, x)
-                    worst = max(worst, abs(got - ref) / max(abs(ref), 1.0))
-    elapsed = time.time() - start
-    passed = worst <= 1e-5 and elapsed <= 60.0
-    report("criterion-10-integral-representation", worst, 1e-5, passed)
-    assert worst <= 1e-5
-    assert elapsed <= 60.0
-
-
-def test_criterion_11_discriminant_witnesses():
-    d_cheb = quadratic_discriminant(math.pi * jacobi_sobolev_poly(-0.5, -0.5, 0.1, 1.0, 2))
-    found = None
-    for c in (0.01, 0.02, 0.05, 0.1, 0.2, 0.5):
-        d = quadratic_discriminant(laguerre_sobolev_poly(0.0, c, 0.0, 2))
-        if d < 0.0:
-            found = (c, d)
-            break
-    passed = d_cheb < 0.0 and found is not None
-    report("criterion-11-discriminant-witness", d_cheb, 0.0, passed)
-    print(f"     degree-2 discriminant at small shift: {d_cheb:.4f}; "
-          f"analogous family: c={found[0] if found else None}, value={found[1] if found else None}")
-    assert d_cheb < 0.0
-    assert found is not None
-
-
-def test_criterion_12_quadrature_exactness():
-    worst = 0.0
-    for family in (Jacobi(0.5, -0.3), LaguerreNeg(0.5), Chebyshev1()):
-        rc = recurrence_coefficients(family, 60)
-        for n in range(1, 61):
-            rule = gauss_rule(family, rc, n)
-            moments = weight_moments(family, 2 * n - 1)
-            powers = rule.nodes[None, :] ** np.arange(2 * n)[:, None]
-            got = powers @ rule.weights
-            scale = np.maximum(np.maximum(np.abs(moments), np.abs(powers) @ rule.weights), 1e-300)
-            worst = max(worst, float((np.abs(got - moments) / scale).max()))
-    report("criterion-12-quadrature-exactness", worst, 1e-10, worst <= 1e-10)
-    assert worst <= 1e-10
+for _criterion in CRITERIA:
+    _test = _criterion_test(_criterion)
+    globals()[_test.__name__] = _test

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from modkernel.acceptance import CRITERIA
 from modkernel.cli import build_parser, main, parse_weight_source
 from modkernel.polycore import Chebyshev1, recurrence_coefficients
 
@@ -110,6 +111,17 @@ class TestPencilCommand:
         assert code == 2
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("nmax", ["0", "1"])
+    def test_nmax_below_two_certifies(self, nmax, tmp_path):
+        out = tmp_path / "r.json"
+        code = run(["pencil", "--family", "jacobi", "--alpha", "0.5", "--beta", "-0.3",
+                    "--c", "kernel:t0=1.5", "--nmax", nmax, "--emit", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert len(doc["checks"]) == 4 and all(c["pass"] for c in doc["checks"])
+        resid = {c["name"]: c for c in doc["checks"]}["five-term-self-residual"]
+        assert resid["measured"] == 0.0 and resid["details"] == {"rows": 0}
+
     def test_short_weight_file_exits_two(self, tmp_path, capsys):
         p = tmp_path / "w.csv"
         p.write_text("1.0,1.0,1.0")
@@ -127,6 +139,19 @@ def test_bad_family_parameters_exit_two(argv, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["pencil", "--family", "chebyshev"],
+    ["gram", "--family", "chebyshev", "--t0", "1"],
+    ["integralcheck"],
+])
+def test_negative_nmax_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--nmax", "-1"])
+    err_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert exc.value.code == 2
+    assert len(err_lines) == 1 and "--nmax: must be nonnegative, got -1" in err_lines[0]
 
 
 class TestGramCommand:
@@ -295,6 +320,10 @@ class TestSelftestCommand:
         assert [n[:12] for n in names] == [f"criterion-{k:02d}" for k in range(1, 13)]
         assert all(c["pass"] for c in doc["checks"])
         assert capsys.readouterr().out.count("PASS ") == 12
+        # every criterion is timed by the registry runner; budgeted ones say so
+        assert all(c["details"]["elapsed"] >= 0.0 for c in doc["checks"])
+        assert [c["details"].get("budget_seconds") for c in doc["checks"]] == [
+            crit.budget_seconds for crit in CRITERIA]
 
 
 def test_module_entry_point():

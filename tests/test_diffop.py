@@ -10,6 +10,7 @@ from modkernel.diffop import (
     jacobi_operator,
     laguerre_operator,
     verify_composed_equation,
+    verify_eigen_relation,
     verify_kernel_image,
 )
 from modkernel.kernels import jacobi_sobolev_poly, laguerre_sobolev_poly
@@ -63,25 +64,11 @@ class TestEigenvalues:
 class TestEigenRelations:
     @pytest.mark.parametrize("alpha,beta,c", [(0.5, -0.3, 2.0), (-0.5, -0.5, 1.0), (1.7, 0.0, 0.1)])
     def test_jacobi_family(self, alpha, beta, c):
-        fam = Jacobi(alpha, beta)
-        rc = recurrence_coefficients(fam, 16)
-        op = jacobi_operator(alpha, beta, c)
-        for n in range(16):
-            g = orthonormal_coeffs(fam, rc, n)
-            diff = apply(op, g) - eigenvalue_jacobi(n, alpha, beta, c) * g
-            scale = max(1.0, float(np.abs(eigenvalue_jacobi(n, alpha, beta, c) * g.coeffs).max()))
-            assert np.abs(diff.coeffs).max() <= 1e-11 * scale
+        assert max(verify_eigen_relation(Jacobi(alpha, beta), c, 15)) <= 1e-11
 
     @pytest.mark.parametrize("alpha,c", [(0.0, 2.0), (0.5, 0.1), (3.0, 1.0)])
     def test_laguerre_family(self, alpha, c):
-        fam = LaguerreNeg(alpha)
-        rc = recurrence_coefficients(fam, 16)
-        op = laguerre_operator(alpha, c)
-        for n in range(16):
-            g = orthonormal_coeffs(fam, rc, n)
-            diff = apply(op, g) - eigenvalue_laguerre(n, c) * g
-            scale = max(1.0, float(np.abs(eigenvalue_laguerre(n, c) * g.coeffs).max()))
-            assert np.abs(diff.coeffs).max() <= 1e-11 * scale
+        assert max(verify_eigen_relation(LaguerreNeg(alpha), c, 15)) <= 1e-11
 
 
 class TestKernelImage:

@@ -11,6 +11,7 @@ from modkernel.integralrep import (
     bessel_j,
     f_n_partial_sum,
     hyp2f0_terminating,
+    integral_rep_errors,
     laguerre_via_bessel,
     pochhammer,
     sobolev_laguerre_closed_form,
@@ -175,11 +176,7 @@ class TestDoubleIntegral:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
     @pytest.mark.parametrize("c", [1, 2, 3])
     def test_consistency_grid(self, alpha, c):
-        for n in range(0, 7):
-            for x in (-0.5, -1.0, -5.0):
-                got = sobolev_laguerre_integral_rep(alpha, c, n, x)
-                ref = sobolev_laguerre_closed_form(alpha, float(c), n, x)
-                assert abs(got - ref) <= 1e-5 * max(abs(ref), 1.0)
+        assert integral_rep_errors(alpha, c, 6, (-0.5, -1.0, -5.0)).max() <= 1e-5
 
     def test_higher_alpha_corner(self):
         got = sobolev_laguerre_integral_rep(1.5, 2, 4, -3.0)

@@ -12,27 +12,16 @@ from modkernel.polycore import (
     orthonormal_values,
     recurrence_coefficients,
 )
-from modkernel.quadrature import gauss_rule, integrate
+from modkernel.quadrature import family_rule, gauss_rule, integrate
 from modkernel.sobolev import (
     gram_matrix,
     gram_offdiagonal_measures,
     jacobi_matrix_weight,
     laguerre_matrix_weight,
     rank_one_factorization_check,
+    sobolev_gram,
     sobolev_inner,
 )
-
-
-def jacobi_rule(alpha, beta, n_points):
-    fam = Jacobi(alpha, beta)
-    rc = recurrence_coefficients(fam, n_points)
-    return gauss_rule(fam, rc, n_points)
-
-
-def laguerre_rule(alpha, n_points):
-    fam = LaguerreNeg(alpha)
-    rc = recurrence_coefficients(fam, n_points)
-    return gauss_rule(fam, rc, n_points)
 
 
 class TestMatrixWeight:
@@ -77,7 +66,7 @@ class TestSobolevInner:
     def test_constant_case_positive(self):
         alpha, beta, c, t0 = 0.5, -0.3, 2.0, 1.5
         wgt = jacobi_matrix_weight(alpha, beta, c, t0)
-        rule = jacobi_rule(alpha, beta, 6)
+        rule = family_rule(Jacobi(alpha, beta), 6)
         p0 = jacobi_sobolev_poly(alpha, beta, c, t0, 0)
         val = sobolev_inner(wgt, p0, p0, rule)
         # constant case reduces to (g0(t0) g0)^2 * integral (t0 - x) w
@@ -94,7 +83,7 @@ class TestSobolevInner:
 
         alpha, beta, c, t0 = 0.5, -0.3, 2.0, 1.5
         wgt = jacobi_matrix_weight(alpha, beta, c, t0)
-        rule = jacobi_rule(alpha, beta, 14)
+        rule = family_rule(Jacobi(alpha, beta), 14)
         op = jacobi_operator(alpha, beta, c)
         rng = np.random.default_rng(17)
         for _ in range(6):
@@ -108,7 +97,7 @@ class TestSobolevInner:
 
     def test_positive_semidefinite(self):
         wgt = laguerre_matrix_weight(0.5, 1.0, 0.0)
-        rule = laguerre_rule(0.5, 18)
+        rule = family_rule(LaguerreNeg(0.5), 18)
         rng = np.random.default_rng(23)
         for _ in range(100):
             f = DensePolynomial(rng.standard_normal(int(rng.integers(1, 16))))
@@ -116,7 +105,7 @@ class TestSobolevInner:
 
     def test_degree_precondition(self):
         wgt = jacobi_matrix_weight(0.0, 0.0, 1.0, 1.0)
-        rule = jacobi_rule(0.0, 0.0, 3)
+        rule = family_rule(Jacobi(0.0, 0.0), 3)
         f = DensePolynomial(np.ones(7))
         with pytest.raises(ValueError, match="degree"):
             sobolev_inner(wgt, f, f, rule)
@@ -168,7 +157,7 @@ class TestGramCertification:
     def test_entries_match_pairwise_inner(self):
         alpha, beta, c, t0 = 0.5, -0.3, 2.0, 1.5
         wgt = jacobi_matrix_weight(alpha, beta, c, t0)
-        rule = jacobi_rule(alpha, beta, 8)
+        rule = family_rule(Jacobi(alpha, beta), 8)
         polys = [jacobi_sobolev_poly(alpha, beta, c, t0, n) for n in range(6)]
         gram = gram_matrix(wgt, polys, rule)
         for i in range(6):
@@ -177,7 +166,7 @@ class TestGramCertification:
 
     def test_one_by_one(self):
         wgt = laguerre_matrix_weight(0.0, 1.0, 0.0)
-        rule = laguerre_rule(0.0, 4)
+        rule = family_rule(LaguerreNeg(0.0), 4)
         gram = gram_matrix(wgt, [laguerre_sobolev_poly(0.0, 1.0, 0.0, 0)], rule)
         assert gram.shape == (1, 1) and gram[0, 0] > 0
 
@@ -186,11 +175,7 @@ class TestGramCertification:
     @pytest.mark.parametrize("c", [0.1, 10.0])
     @pytest.mark.parametrize("t0", [1.0, 2.0])
     def test_jacobi_sweep(self, alpha, beta, c, t0):
-        wgt = jacobi_matrix_weight(alpha, beta, c, t0)
-        rule = jacobi_rule(alpha, beta, 14)
-        polys = [jacobi_sobolev_poly(alpha, beta, c, t0, n) for n in range(13)]
-        gram = gram_matrix(wgt, polys, rule)
-        meas = gram_offdiagonal_measures(gram)
+        meas = gram_offdiagonal_measures(sobolev_gram(Jacobi(alpha, beta), c, t0, 12))
         assert meas["diag_min"] > 0
         assert meas["normalized"] <= 1e-9
 
@@ -198,17 +183,13 @@ class TestGramCertification:
     @pytest.mark.parametrize("c", [0.1, 1.0, 10.0])
     @pytest.mark.parametrize("t0", [0.0, 1.0])
     def test_laguerre_sweep(self, alpha, c, t0):
-        wgt = laguerre_matrix_weight(alpha, c, t0)
-        rule = laguerre_rule(alpha, 14)
-        polys = [laguerre_sobolev_poly(alpha, c, t0, n) for n in range(13)]
-        gram = gram_matrix(wgt, polys, rule)
-        meas = gram_offdiagonal_measures(gram)
+        meas = gram_offdiagonal_measures(sobolev_gram(LaguerreNeg(alpha), c, t0, 12))
         assert meas["diag_min"] > 0
         assert meas["normalized"] <= 1e-9
 
     def test_rule_degree_guard(self):
         wgt = jacobi_matrix_weight(0.0, 0.0, 1.0, 1.0)
-        rule = jacobi_rule(0.0, 0.0, 4)
+        rule = family_rule(Jacobi(0.0, 0.0), 4)
         polys = [jacobi_sobolev_poly(0.0, 0.0, 1.0, 1.0, n) for n in range(6)]
         with pytest.raises(ValueError):
             gram_matrix(wgt, polys, rule)

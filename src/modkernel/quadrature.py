@@ -50,11 +50,17 @@ def _tridiag_eigen_first(d, e, max_iter: int = _MAX_SWEEPS):
     d: diagonal (length n), e: subdiagonal (length n-1).  Implicit-shift
     QL with deflation; raises RuntimeError if an eigenvalue fails to
     converge within ``max_iter`` sweeps.
+
+    The sweeps run on lists of Python floats: the same IEEE-754 double
+    operations in the same order as on numpy arrays, without boxing a
+    numpy scalar on every element read and write.
     """
-    d = np.array(d, dtype=float)
-    n = d.size
-    e = np.concatenate([np.asarray(e, dtype=float), [0.0]])
-    z = np.zeros(n)
+    hypot = math.hypot
+    copysign = math.copysign
+    d = [float(v) for v in d]
+    n = len(d)
+    e = [float(v) for v in e] + [0.0]
+    z = [0.0] * n
     z[0] = 1.0
     for l in range(n):
         iteration = 0
@@ -70,15 +76,15 @@ def _tridiag_eigen_first(d, e, max_iter: int = _MAX_SWEEPS):
                 raise RuntimeError(f"eigen-iteration did not converge for index {l}")
             iteration += 1
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            r = hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + copysign(r, g))
             s = c = 1.0
             p = 0.0
             underflow = False
             for i in range(m - 1, l - 1, -1):
                 f = s * e[i]
                 b = c * e[i]
-                r = math.hypot(f, g)
+                r = hypot(f, g)
                 e[i + 1] = r
                 if r == 0.0:
                     d[i + 1] -= p
@@ -99,6 +105,8 @@ def _tridiag_eigen_first(d, e, max_iter: int = _MAX_SWEEPS):
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
+    d = np.array(d)
+    z = np.array(z)
     order = np.argsort(d, kind="stable")
     return d[order], z[order]
 

@@ -129,6 +129,21 @@ def recurrence_from_moments(moments: np.ndarray, n_max: int):
     return a_hat, b_hat
 
 
+def dense_gauss_rule(b_hat: np.ndarray, a_hat: np.ndarray, mu0: float, n_points: int):
+    """Golub-Welsch rule from LAPACK's dense symmetric eigensolver.
+
+    Nodes are the eigenvalues of the N x N Jacobi matrix (diagonal
+    b_hat, off-diagonal a_hat); weights are mu0 times the squared first
+    components of its normalized eigenvectors.  Structurally independent
+    of the package's tridiagonal QL solver.
+    """
+    jac = np.diag(np.asarray(b_hat[:n_points], dtype=float))
+    off = np.asarray(a_hat[: n_points - 1], dtype=float)
+    jac += np.diag(off, 1) + np.diag(off, -1)
+    nodes, vecs = np.linalg.eigh(jac)
+    return nodes, mu0 * vecs[0] ** 2
+
+
 def fd1(f, x: float, h: float = 1e-6) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 

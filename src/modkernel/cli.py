@@ -40,9 +40,8 @@ from .kernels import (
     SecondKind,
     chebyshev_t_with_derivative,
     generate_weights,
-    jacobi_sobolev_poly,
-    kernel_poly,
-    laguerre_sobolev_poly,
+    sobolev_tables,
+    weighted_tables,
 )
 from .pencil import (
     JacobiTypePencil,
@@ -58,6 +57,7 @@ from .polycore import (
     FamilySpec,
     Jacobi,
     LaguerreNeg,
+    orthonormal_values,
     recurrence_coefficients,
 )
 from .sobolev import gram_offdiagonal_measures, sobolev_gram
@@ -327,7 +327,7 @@ def run_diff_checks(family: FamilySpec, c: float, t0: float | None, n_max: int, 
                     tol_eigen: float = 1e-11, tol_image: float = 1e-10,
                     tol_composed: float = 1e-9) -> ReportDocument:
     report = _new_report("diffcheck", seed, family=family.name, c=c, t0=t0, n_max=n_max)
-    per_n = verify_eigen_relation(family, c, min(n_max, 15))
+    per_n = verify_eigen_relation(family, c, n_max)
     report.add("eigen-relation", "second-order-operator-eigenvalues", max(per_n), tol_eigen, per_n=per_n)
 
     edge = family.edge
@@ -335,13 +335,13 @@ def run_diff_checks(family: FamilySpec, c: float, t0: float | None, n_max: int, 
     report.add(
         "kernel-image-identity",
         "operator-strips-eigenvalue-scaling",
-        verify_kernel_image(family, c, t0_eff, min(n_max, 12)),
+        verify_kernel_image(family, c, t0_eff, n_max),
         tol_image,
         t0=t0_eff,
     )
     if math.isclose(t0_eff, edge):
-        shifted = verify_composed_equation(family, c, min(n_max, 10), reading="shifted")
-        unshifted = verify_composed_equation(family, c, min(n_max, 10), reading="unshifted")
+        shifted = verify_composed_equation(family, c, n_max, reading="shifted")
+        unshifted = verify_composed_equation(family, c, n_max, reading="unshifted")
         report.add(
             "composed-equation-shifted-reading",
             "fourth-order-composition",
@@ -396,19 +396,16 @@ def cmd_plotdata(args) -> int:
         bound_d = 2.0 * args.n / math.pi
         rows = zip(xs, val, der, [bound_v] * xs.size, [bound_d] * xs.size)
         text = _csv_text(["x", "value", "derivative", "bound_value", "bound_derivative"], rows)
-    elif args.what in ("P", "L"):
-        if args.what == "P":
-            p = jacobi_sobolev_poly(args.alpha, args.beta, args.c, args.t0, args.n)
-        else:
-            p = laguerre_sobolev_poly(args.alpha, args.c, args.t0, args.n)
-        d = p.derivative()
-        text = _csv_text(["x", "value", "derivative"], zip(xs, p(xs), d(xs)))
     else:
-        family = _parse_family(args)
-        vals = kernel_poly(family, args.t0, args.n, xs)
-        h = 1e-6
-        der = (kernel_poly(family, args.t0, args.n, xs + h) - kernel_poly(family, args.t0, args.n, xs - h)) / (2 * h)
-        text = _csv_text(["x", "value", "derivative"], zip(xs, vals, der))
+        # value and exact slope of u_n from its derivative tables
+        if args.what == "kernel":
+            family = _parse_family(args)
+            rc = recurrence_coefficients(family, args.n)
+            u = weighted_tables(rc, orthonormal_values(rc, args.n, args.t0), xs, 1)[:, args.n]
+        else:
+            family = Jacobi(args.alpha, args.beta) if args.what == "P" else LaguerreNeg(args.alpha)
+            u = sobolev_tables(family, args.c, args.t0, args.n, xs, 1)[:, args.n]
+        text = _csv_text(["x", "value", "derivative"], zip(xs, u[0], u[1]))
     _atomic_write(path, text)
     print(path)
     return 0
@@ -502,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family(p, default="chebyshev")
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--t0", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--n", type=_nonnegative_int, default=5)
     p.add_argument("--grid", default="-1,1,1001", help="lo,hi,count or an explicit comma list")
     _add_common(p)
     p.set_defaults(func=cmd_plotdata)

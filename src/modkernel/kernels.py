@@ -20,11 +20,13 @@ import numpy as np
 
 from .pencil import WeightSequence
 from .polycore import (
+    Chebyshev1,
     DensePolynomial,
     FamilySpec,
     Jacobi,
     LaguerreNeg,
     RecurrenceCoefficients,
+    derivative_tables,
     orthonormal_coeffs,
     orthonormal_values,
     recurrence_coefficients,
@@ -38,7 +40,8 @@ __all__ = [
     "generate_weights",
     "kernel_poly",
     "modified_kernel",
-    "modified_kernel_values",
+    "weighted_tables",
+    "sobolev_tables",
     "second_kind_eval",
     "second_kind_values",
     "sobolev_poly",
@@ -135,12 +138,8 @@ def generate_weights(
 def kernel_poly(family: FamilySpec, t: float, n: int, x) -> float:
     """K_n(t, x) = sum_{k<=n} g_k(t) g_k(x)."""
     rc = recurrence_coefficients(family, max(n, 1))
-    gt = orthonormal_values(rc, n, t)
-    gx = orthonormal_values(rc, n, x)
-    res = np.tensordot(gt, gx, axes=(0, 0))
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(res)
-    return res
+    res = weighted_tables(rc, orthonormal_values(rc, n, t), x, 0)[0, n]
+    return float(res) if np.ndim(x) == 0 else res
 
 
 def modified_kernel(spec: ModifiedKernelSpec, n: int) -> DensePolynomial:
@@ -155,17 +154,29 @@ def modified_kernel(spec: ModifiedKernelSpec, n: int) -> DensePolynomial:
     return acc
 
 
-def modified_kernel_values(spec: ModifiedKernelSpec, n: int, x) -> np.ndarray:
-    """Values u_0(x)..u_n(x) by direct summation of the recurrence table.
+def weighted_tables(rc: RecurrenceCoefficients, c, x, order: int) -> np.ndarray:
+    """Derivative tables of the partial sums u_k = sum_{i<=k} c_i g_i.
 
-    Usable beyond the coefficient degree cap.
+    Entry [j, k] holds u_k^(j)(x) for j = 0..order and k = 0..len(c)-1:
+    the cumulative sum over k of c_k times ``derivative_tables``.  The
+    coefficients may have any sign, so plain kernels K_n(t, x) with t
+    inside the support are covered too.
     """
-    if n > spec.n_max:
-        raise ValueError(f"n = {n} exceeds the spec range n_max = {spec.n_max}")
-    rc, w = spec.resolve()
-    w.require(n)
-    g = orthonormal_values(rc, n, x)
-    return np.cumsum(w.c[: n + 1].reshape((n + 1,) + (1,) * (g.ndim - 1)) * g, axis=0)
+    c = np.asarray(c, dtype=float)
+    u = derivative_tables(rc, c.size - 1, x, order)
+    u *= c.reshape((1, c.size) + (1,) * (u.ndim - 2))
+    return np.cumsum(u, axis=1, out=u)
+
+
+def sobolev_tables(family: FamilySpec, c: float, t0: float, n: int, x, order: int) -> np.ndarray:
+    """Derivative tables of ``sobolev_poly(family, c, t0, k)``, k = 0..n.
+
+    The eigenvalue-scaled weights from ``generate_weights`` summed
+    against ``derivative_tables``: entry [j, k] is u_k^(j)(x), with no
+    monomial coefficients and so no degree cap.
+    """
+    rc = recurrence_coefficients(family, n)
+    return weighted_tables(rc, generate_weights(family, rc, EigScaledKernel(c, t0), n).c, x, order)
 
 
 def second_kind_values(rc: RecurrenceCoefficients, n: int, t) -> np.ndarray:
@@ -214,21 +225,6 @@ def laguerre_sobolev_poly(alpha: float, c: float, t0: float, n: int) -> DensePol
     return sobolev_poly(LaguerreNeg(alpha), c, t0, n)
 
 
-def _chebyshev_pair(n: int, x) -> tuple[np.ndarray, np.ndarray]:
-    # T_k and T_k' for k = 0..n via the first-kind recurrence
-    xa = np.asarray(x, dtype=float)
-    tk = np.zeros((n + 1,) + xa.shape)
-    dk = np.zeros_like(tk)
-    tk[0] = 1.0
-    if n >= 1:
-        tk[1] = xa
-        dk[1] = 1.0
-    for k in range(1, n):
-        tk[k + 1] = 2.0 * xa * tk[k] - tk[k - 1]
-        dk[k + 1] = 2.0 * tk[k] + 2.0 * xa * dk[k] - dk[k - 1]
-    return tk, dk
-
-
 def chebyshev_t(c: float, n: int, x) -> float:
     """t_n(c; x) = 1/(pi c) + (2/pi) sum_{k=1}^n T_k(x)/(k^2 + c)."""
     acc, _ = chebyshev_t_with_derivative(c, n, x)
@@ -238,17 +234,10 @@ def chebyshev_t(c: float, n: int, x) -> float:
 
 
 def chebyshev_t_with_derivative(c: float, n: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """(t_n(c; x), t_n'(c; x)) over an array of points."""
+    """(t_n(c; x), t_n'(c; x)): the Chebyshev Sobolev kernel sum at t0 = 1."""
     if not c > 0.0:
         raise ValueError("c must be positive")
-    tk, dk = _chebyshev_pair(n, x)
-    k = np.arange(1, n + 1)
-    val = np.full(np.asarray(x, dtype=float).shape, 1.0 / (math.pi * c))
-    der = np.zeros_like(val)
-    if n >= 1:
-        scale = 1.0 / (k * k + c)
-        val = val + (2.0 / math.pi) * np.tensordot(scale, tk[1:], axes=(0, 0))
-        der = der + (2.0 / math.pi) * np.tensordot(scale, dk[1:], axes=(0, 0))
+    val, der = sobolev_tables(Chebyshev1(), c, 1.0, n, x, 1)[:, n]
     return val, der
 
 

@@ -7,7 +7,7 @@ coefficients against its weight:
 * ``LaguerreNeg(alpha)`` on (-inf, 0] with weight (-x)^alpha e^x,
 * ``Chebyshev1`` on [-1, 1] with weight 1/sqrt(1-x^2).
 
-Values and the first two derivatives are produced by running the
+Values and up to four derivatives are produced by running the
 three-term recurrence together with its differentiated forms, which is
 stable far beyond where monomial coefficients stop being trustworthy.
 Monomial coefficient extraction is therefore capped (default degree 40).
@@ -34,7 +34,7 @@ __all__ = [
     "poly_eval",
     "poly_derivative",
     "recurrence_coefficients",
-    "orthonormal_eval2",
+    "derivative_tables",
     "orthonormal_values",
     "orthonormal_coeffs",
 ]
@@ -366,51 +366,43 @@ def recurrence_coefficients(family: FamilySpec, n_max: int) -> RecurrenceCoeffic
     return family.recurrence(n_max)
 
 
-def orthonormal_eval2(
-    family: FamilySpec, rc: RecurrenceCoefficients, n: int, x: float
-) -> tuple[float, float, float]:
-    """(g_n(x), g_n'(x), g_n''(x)) by simultaneous recurrences.
+def derivative_tables(rc: RecurrenceCoefficients, n: int, x, order: int) -> np.ndarray:
+    """Table of g_k^(j)(x) for j = 0..order and k = 0..n.
 
-    The value recurrence is differentiated once and twice and all three
-    are advanced together; g_0 is the constant rc.g0.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > 0:
-        rc.require(n - 1)
-    v_prev, d1_prev, d2_prev = 0.0, 0.0, 0.0
-    v, d1, d2 = rc.g0, 0.0, 0.0
-    for k in range(n):
-        a_k = rc.a_hat[k]
-        b_k = rc.b_hat[k]
-        a_km1 = rc.a_hat[k - 1] if k >= 1 else 0.0
-        v_next = ((x - b_k) * v - a_km1 * v_prev) / a_k
-        d1_next = ((x - b_k) * d1 + v - a_km1 * d1_prev) / a_k
-        d2_next = ((x - b_k) * d2 + 2.0 * d1 - a_km1 * d2_prev) / a_k
-        v_prev, d1_prev, d2_prev = v, d1, d2
-        v, d1, d2 = v_next, d1_next, d2_next
-    return v, d1, d2
+    The three-term recurrence differentiated j times,
 
+        a_k g^(j)_{k+1} = (x - b_k) g^(j)_k + j g^(j-1)_k - a_{k-1} g^(j)_{k-1},
 
-def orthonormal_values(rc: RecurrenceCoefficients, n: int, x) -> np.ndarray:
-    """Table of g_0(x)..g_n(x); x may be a scalar or ndarray.
-
-    Returns shape (n+1,) for scalar x, else (n+1,) + x.shape.
+    runs one order at a time (order j needs only the finished order
+    j-1), vectorized over x.  Returns shape (order+1, n+1) + x.shape.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > 0:
         rc.require(n - 1)
     xa = np.asarray(x, dtype=float)
-    out = np.zeros((n + 1,) + xa.shape)
-    out[0] = rc.g0
-    prev = np.zeros_like(xa)
-    for k in range(n):
-        a_km1 = rc.a_hat[k - 1] if k >= 1 else 0.0
-        nxt = ((xa - rc.b_hat[k]) * out[k] - a_km1 * prev) / rc.a_hat[k]
-        prev = out[k]
-        out[k + 1] = nxt
+    out = np.zeros((order + 1, n + 1) + xa.shape)
+    out[0, 0] = rc.g0
+    for j, row in enumerate(out):
+        lower = j * out[j - 1] if j else None
+        prev = np.zeros_like(xa)
+        for k in range(n):
+            a_km1 = rc.a_hat[k - 1] if k >= 1 else 0.0
+            nxt = (xa - rc.b_hat[k]) * row[k] - a_km1 * prev
+            if j:
+                nxt = nxt + lower[k]
+            prev = row[k]
+            row[k + 1] = nxt / rc.a_hat[k]
     return out
+
+
+def orthonormal_values(rc: RecurrenceCoefficients, n: int, x) -> np.ndarray:
+    """Table of g_0(x)..g_n(x); x may be a scalar or ndarray.
+
+    The order-0 case of ``derivative_tables``: shape (n+1,) for scalar
+    x, else (n+1,) + x.shape.
+    """
+    return derivative_tables(rc, n, x, 0)[0]
 
 
 def orthonormal_coeffs(

@@ -41,7 +41,7 @@ _RULE_CACHE_SIZE = 128
 
 
 class QuadratureRangeError(ValueError):
-    """The rule needs a weight below the smallest double-precision number."""
+    """The rule needs a number outside the double-precision range."""
 
 
 def _tridiag_eigen_first(d, e, max_iter: int = _MAX_SWEEPS):
@@ -212,17 +212,45 @@ def weight_moments(family: FamilySpec, k_max: int) -> np.ndarray:
     return family.moments(k_max)
 
 
+def _first_overflowing_moment(family: FamilySpec, k_max: int) -> int:
+    # bisection for the smallest k whose closed-form moment overflows;
+    # the moment of x^k_max is known to overflow
+    lo, hi = 0, k_max
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            weight_moments(family, mid)
+        except OverflowError:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def moment_residual(rule: QuadratureRule) -> float:
     """Worst relative error of the rule on x^k, k = 0..2N-1.
 
     Each moment is compared with ``weight_moments`` of the rule's
     family, relative to the larger of the moment and the rule's sum of
-    |x^k| weights.
+    |x^k| weights.  Raises ``QuadratureRangeError`` naming the first
+    power whose rule sum, or else whose closed-form moment, overflows
+    double precision (reflected-Laguerre rules, from N = 66 for alpha
+    0.5 and earlier for large alpha).
     """
     n = rule.size
-    moments = weight_moments(rule.weight_id, 2 * n - 1)
-    powers = rule.nodes[None, :] ** np.arange(2 * n)[:, None]
+    where = f"{rule.weight_id!r} rule with N = {n}"
+    with np.errstate(over="ignore"):
+        powers = rule.nodes[None, :] ** np.arange(2 * n)[:, None]
+        absolute = np.abs(powers) @ rule.weights
+    overflow = np.flatnonzero(~np.isfinite(absolute))
+    if overflow.size:
+        raise QuadratureRangeError(f"{where}: the rule sum of x^{int(overflow[0])} overflows double precision")
+    try:
+        moments = weight_moments(rule.weight_id, 2 * n - 1)
+    except OverflowError:
+        k = _first_overflowing_moment(rule.weight_id, 2 * n - 1)
+        raise QuadratureRangeError(f"{where}: the moment of x^{k} overflows double precision") from None
     got = powers @ rule.weights
     # floor guards the N=1 symmetric rule, whose single node is 0
-    scale = np.maximum(np.maximum(np.abs(moments), np.abs(powers) @ rule.weights), 1e-300)
+    scale = np.maximum(np.maximum(np.abs(moments), absolute), 1e-300)
     return float((np.abs(got - moments) / scale).max())

@@ -20,7 +20,7 @@ import numpy as np
 
 from .diffop import apply as diffop_apply
 from .diffop import family_operator
-from .kernels import sobolev_poly
+from .kernels import sobolev_tables
 from .polycore import DensePolynomial, FamilySpec, Jacobi, LaguerreNeg
 from .quadrature import QuadratureRule, family_rule
 
@@ -54,11 +54,14 @@ class MatrixWeight:
                 f"t0 = {self.t0} must not lie below the support edge {self.family.edge}"
             )
 
+    def table_image(self, tables, x: np.ndarray) -> np.ndarray:
+        """v(x) . (f, f', f''), given the values f^(j)(x) as tables[j]."""
+        return self.v[0](x) * tables[0] + self.v[1](x) * tables[1] + self.v[2](x) * tables[2]
+
     def operator_image(self, f: DensePolynomial, x: np.ndarray) -> np.ndarray:
         """v(x) . (f(x), f'(x), f''(x))."""
         d1 = f.derivative()
-        d2 = d1.derivative()
-        return self.v[0](x) * f(x) + self.v[1](x) * d1(x) + self.v[2](x) * d2(x)
+        return self.table_image((f(x), d1(x), d1.derivative()(x)), x)
 
 
 def jacobi_matrix_weight(alpha: float, beta: float, c: float, t0: float) -> MatrixWeight:
@@ -152,11 +155,14 @@ def sobolev_gram(family: FamilySpec, c: float, t0: float, n_max: int) -> np.ndar
     """Gram matrix of ``sobolev_poly(family, c, t0, n)``, n = 0..n_max.
 
     Taken against ``matrix_weight(family, c, t0)`` with the
-    (n_max + 2)-point Gauss rule of its base weight.
+    (n_max + 2)-point Gauss rule of its base weight, which is exact for
+    every entry.  The kernels and their two derivatives come from
+    ``sobolev_tables`` at the rule nodes, so no degree cap applies.
     """
     wgt = matrix_weight(family, c, t0)
-    polys = [sobolev_poly(family, c, t0, n) for n in range(n_max + 1)]
-    return gram_matrix(wgt, polys, family_rule(wgt.family, n_max + 2))
+    rule = family_rule(wgt.family, n_max + 2)
+    rows = wgt.table_image(sobolev_tables(family, c, t0, n_max, rule.nodes, 2), rule.nodes)
+    return (rows * (rule.weights * _edge_factor(wgt, rule.nodes))) @ rows.T
 
 
 def gram_offdiagonal_measures(gram: np.ndarray) -> dict[str, float]:

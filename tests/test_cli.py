@@ -10,6 +10,7 @@ import pytest
 
 from modkernel.acceptance import CRITERIA
 from modkernel.cli import build_parser, main, parse_weight_source
+from modkernel.kernels import jacobi_sobolev_poly
 from modkernel.polycore import Chebyshev1, recurrence_coefficients
 
 
@@ -142,16 +143,18 @@ def test_bad_family_parameters_exit_two(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["pencil", "--family", "chebyshev"],
-    ["gram", "--family", "chebyshev", "--t0", "1"],
-    ["integralcheck"],
+    ["pencil", "--family", "chebyshev", "--nmax"],
+    ["gram", "--family", "chebyshev", "--t0", "1", "--nmax"],
+    ["integralcheck", "--nmax"],
+    ["plotdata", "--what", "tn", "--n"],
 ])
 def test_negative_nmax_exits_two(argv, capsys):
+    # the last element is the degree flag, given -1
     with pytest.raises(SystemExit) as exc:
-        run([*argv, "--nmax", "-1"])
+        run([*argv, "-1"])
     err_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert exc.value.code == 2
-    assert len(err_lines) == 1 and "--nmax: must be nonnegative, got -1" in err_lines[0]
+    assert len(err_lines) == 1 and f"{argv[-1]}: must be nonnegative, got -1" in err_lines[0]
 
 
 class TestGramCommand:
@@ -207,6 +210,14 @@ class TestDiffcheckCommand:
         out = tmp_path / "r.json"
         code = run(["diffcheck", "--family", "laguerre", "--alpha", "0", "--c", "2", "--emit", str(out)])
         assert code == 0
+
+    def test_every_degree_is_checked(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = run(["diffcheck", "--family", "laguerre", "--alpha", "0.5", "--c", "1", "--nmax", "40",
+                    "--emit", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert len(doc["checks"][0]["details"]["per_n"]) == 41
 
     def test_eigen_table_zero_row(self, tmp_path):
         out = tmp_path / "r.json"
@@ -273,6 +284,22 @@ class TestPlotdataCommand:
         out = tmp_path / "p.csv"
         code = run(["plotdata", "--what", "P", "--alpha", "0.5", "--beta", "-0.3", "--c", "1",
                     "--t0", "1.5", "--n", "4", "--grid=-1,1,11", "--emit", str(out)])
+        assert code == 0
+        assert len(out.read_text().strip().splitlines()) == 12
+
+    def test_sobolev_slope_is_exact(self, tmp_path):
+        out = tmp_path / "p.csv"
+        code = run(["plotdata", "--what", "P", "--alpha", "0.5", "--beta", "-0.3", "--c", "1",
+                    "--t0", "1.5", "--n", "6", "--grid=-1,1,11", "--emit", str(out)])
+        assert code == 0
+        data = np.array([[float(v) for v in row.split(",")] for row in out.read_text().splitlines()[1:]])
+        slope = jacobi_sobolev_poly(0.5, -0.3, 1.0, 1.5, 6).derivative()(data[:, 0])
+        np.testing.assert_allclose(data[:, 2], slope, rtol=1e-11)
+
+    def test_sobolev_plot_beyond_the_coefficient_cap(self, tmp_path):
+        out = tmp_path / "p.csv"
+        code = run(["plotdata", "--what", "P", "--alpha", "0.5", "--beta", "-0.3", "--c", "1",
+                    "--t0", "1.5", "--n", "45", "--grid=-1,1,11", "--emit", str(out)])
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 12
 

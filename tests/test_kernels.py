@@ -17,10 +17,10 @@ from modkernel.kernels import (
     kernel_poly,
     laguerre_sobolev_poly,
     modified_kernel,
-    modified_kernel_values,
     quadratic_discriminant,
     second_kind_eval,
     second_kind_values,
+    weighted_tables,
 )
 from modkernel.polycore import (
     Chebyshev1,
@@ -125,9 +125,15 @@ class TestModifiedKernel:
     def test_values_route_matches_polynomials(self):
         spec = ModifiedKernelSpec(Chebyshev1(), PlainKernel(1.0), 10)
         xs = np.linspace(-1, 1, 7)
-        vals = modified_kernel_values(spec, 10, xs)
+        rc, w = spec.resolve()
+        tables = weighted_tables(rc, w.c[:11], xs, 2)
         for n in (0, 4, 10):
-            np.testing.assert_allclose(vals[n], modified_kernel(spec, n)(xs), rtol=1e-11, atol=1e-12)
+            p = modified_kernel(spec, n)
+            np.testing.assert_allclose(tables[0, n], p(xs), rtol=1e-11, atol=1e-12)
+            for j in (1, 2):
+                p = p.derivative()
+                # derivative rows: atol scaled by the derivative's magnitude
+                np.testing.assert_allclose(tables[j, n], p(xs), rtol=1e-11, atol=1e-12 * max(1.0, np.abs(p(xs)).max()))
 
     def test_explicit_weight_sequence(self):
         from modkernel.pencil import WeightSequence

@@ -8,8 +8,8 @@ from modkernel.polycore import (
     DensePolynomial,
     Jacobi,
     LaguerreNeg,
+    derivative_tables,
     orthonormal_coeffs,
-    orthonormal_eval2,
     orthonormal_values,
     poly_derivative,
     poly_eval,
@@ -29,6 +29,11 @@ from oracles import (
 )
 
 FAMILIES = [Jacobi(0.5, -0.3), LaguerreNeg(0.0), Chebyshev1()]
+
+
+def eval2(rc, n, x):
+    """(g_n(x), g_n'(x), g_n''(x)) at a scalar x, read off the derivative tables."""
+    return tuple(float(v) for v in derivative_tables(rc, n, x, 2)[:, n])
 
 
 class TestDensePolynomial:
@@ -162,13 +167,13 @@ class TestRecurrenceCoefficients:
 class TestEvaluation:
     def test_chebyshev_constant(self):
         rc = recurrence_coefficients(Chebyshev1(), 5)
-        v, d1, d2 = orthonormal_eval2(Chebyshev1(), rc, 0, 0.3)
+        v, d1, d2 = eval2(rc, 0, 0.3)
         assert v == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
         assert d1 == 0.0 and d2 == 0.0
 
     def test_chebyshev_value_at_one(self):
         rc = recurrence_coefficients(Chebyshev1(), 5)
-        v, _, _ = orthonormal_eval2(Chebyshev1(), rc, 3, 1.0)
+        v, _, _ = eval2(rc, 3, 1.0)
         assert v == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -178,10 +183,10 @@ class TestEvaluation:
         lo, hi = (-10.0, 0.0) if isinstance(family, LaguerreNeg) else (-1.0, 1.0)
         for x in lo + (hi - lo) * rng.random(20):
             for n in (2, 5, 8):
-                v, d1, d2 = orthonormal_eval2(family, rc, n, float(x))
+                v, d1, d2 = eval2(rc, n, float(x))
 
                 def f(t, n=n):
-                    return orthonormal_eval2(family, rc, n, t)[0]
+                    return eval2(rc, n, t)[0]
 
                 assert d1 == pytest.approx(fd1(f, float(x)), rel=1e-5, abs=1e-5 * max(1, abs(d1)))
                 assert d2 == pytest.approx(fd2(f, float(x)), rel=1e-5, abs=1e-4 * max(1, abs(d2)))
@@ -190,10 +195,10 @@ class TestEvaluation:
     def test_first_derivative_point_example(self, family):
         rc = recurrence_coefficients(family, 6)
         x = 0.3 if not isinstance(family, LaguerreNeg) else -0.3
-        _, d1, _ = orthonormal_eval2(family, rc, 5, x)
+        _, d1, _ = eval2(rc, 5, x)
 
         def f(t):
-            return orthonormal_eval2(family, rc, 5, t)[0]
+            return eval2(rc, 5, t)[0]
 
         assert d1 == pytest.approx(fd1(f, x), rel=1e-6)
 
@@ -227,7 +232,36 @@ class TestEvaluation:
     def test_eval_out_of_range(self):
         rc = recurrence_coefficients(Chebyshev1(), 3)
         with pytest.raises(ValueError):
-            orthonormal_eval2(Chebyshev1(), rc, 6, 0.0)
+            eval2(rc, 6, 0.0)
+
+    def test_table_shape_and_values_row(self):
+        rc = recurrence_coefficients(Jacobi(0.5, -0.3), 8)
+        xs = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+        tables = derivative_tables(rc, 7, xs, 3)
+        assert tables.shape == (4, 8, 2, 3)
+        assert np.array_equal(tables[0], orthonormal_values(rc, 7, xs))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_derivative_tables_match_coefficient_derivatives(self, family):
+        # oracle: monomial coefficients differentiated term by term, up to
+        # order 4 and degree 20; the target is 1e-8 relative plus the
+        # coefficient-representation floor eps * sum |c_k| |x|^k of each
+        # differentiated polynomial, as in test_coeffs_agree_with_recurrence_eval
+        eps = np.finfo(float).eps
+        rc = recurrence_coefficients(family, 21)
+        if isinstance(family, LaguerreNeg):
+            xs = np.linspace(-20.0, 0.0, 15)
+        else:
+            xs = np.linspace(-1.0, 1.0, 15)
+        tables = derivative_tables(rc, 20, xs, 4)
+        for n in range(21):
+            p = orthonormal_coeffs(family, rc, n)
+            for j in range(5):
+                got = tables[j, n]
+                ref = p(xs)
+                floor = eps * np.polyval(np.abs(p.coeffs[::-1]), np.abs(xs))
+                assert np.all(np.abs(got - ref) <= 1e-8 * np.maximum(1.0, np.abs(ref)) + floor)
+                p = p.derivative()
 
 
 class TestAgainstClassicalValues:
@@ -240,7 +274,7 @@ class TestAgainstClassicalValues:
         for n in (0, 1, 2, 5, 9, 12):
             for x in (-0.9, -0.2, 0.0, 0.4, 1.0):
                 ref = jacobi_orthonormal_value(alpha, beta, n, x)
-                got = orthonormal_eval2(fam, rc, n, x)[0]
+                got = eval2(rc, n, x)[0]
                 assert got == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
     def test_laguerre_values(self):
@@ -250,7 +284,7 @@ class TestAgainstClassicalValues:
         for n in (0, 1, 3, 7, 10):
             for x in (-15.0, -4.0, -0.5, 0.0):
                 ref = laguerre_orthonormal_reflected(alpha, n, x)
-                got = orthonormal_eval2(fam, rc, n, x)[0]
+                got = eval2(rc, n, x)[0]
                 assert got == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
     def test_chebyshev_values(self):
@@ -259,7 +293,7 @@ class TestAgainstClassicalValues:
         for n in (0, 1, 4, 15):
             for x in (-1.0, -0.3, 0.6, 1.0):
                 ref = chebyshev_orthonormal_value(n, x)
-                got = orthonormal_eval2(fam, rc, n, x)[0]
+                got = eval2(rc, n, x)[0]
                 assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 

@@ -188,6 +188,23 @@ def test_laguerre_weight_underflow_is_named():
     assert np.all(rule.weights > 0.0)
 
 
+@pytest.mark.parametrize(
+    "alpha,n,what",
+    [
+        # alpha 0.5: the rule sums of x^k overflow before the gamma moments do
+        (0.5, 85, r"the rule sum of x\^124"),
+        # alpha 40: Gamma(alpha + k + 1) overflows from k = 102 while the
+        # rule sums, with nodes down to about -292, are still finite
+        (40.0, 60, r"the moment of x\^102"),
+    ],
+)
+def test_laguerre_moment_overflow_is_named(alpha, n, what):
+    family = LaguerreNeg(alpha)
+    rule = gauss_rule(family, recurrence_coefficients(family, n), n)
+    with pytest.raises(QuadratureRangeError, match=rf"LaguerreNeg\(alpha={alpha}\) rule with N = {n}: {what} overflows"):
+        moment_residual(rule)
+
+
 class TestFamilyRule:
     @pytest.mark.parametrize("n", [24, 140])
     def test_bitwise_equal_to_fresh_rule(self, n):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from modkernel.kernels import jacobi_sobolev_poly, laguerre_sobolev_poly
+from modkernel.kernels import jacobi_sobolev_poly, laguerre_sobolev_poly, sobolev_poly
 from modkernel.polycore import (
     DensePolynomial,
     Jacobi,
@@ -18,6 +18,7 @@ from modkernel.sobolev import (
     gram_offdiagonal_measures,
     jacobi_matrix_weight,
     laguerre_matrix_weight,
+    matrix_weight,
     rank_one_factorization_check,
     sobolev_gram,
     sobolev_inner,
@@ -184,6 +185,24 @@ class TestGramCertification:
     @pytest.mark.parametrize("t0", [0.0, 1.0])
     def test_laguerre_sweep(self, alpha, c, t0):
         meas = gram_offdiagonal_measures(sobolev_gram(LaguerreNeg(alpha), c, t0, 12))
+        assert meas["diag_min"] > 0
+        assert meas["normalized"] <= 1e-9
+
+    @pytest.mark.parametrize("family,t0", [(Jacobi(0.5, -0.3), 1.5), (Chebyshev1(), 1.0), (LaguerreNeg(0.5), 0.7)])
+    def test_table_route_matches_polynomial_route(self, family, t0):
+        # the derivative-table Gram against the monomial-coefficient route,
+        # entrywise relative to sqrt(G_nn G_mm), at degrees both can reach
+        c, n_max = 0.7, 10
+        wgt = matrix_weight(family, c, t0)
+        polys = [sobolev_poly(family, c, t0, n) for n in range(n_max + 1)]
+        ref = gram_matrix(wgt, polys, family_rule(wgt.family, n_max + 2))
+        got = sobolev_gram(family, c, t0, n_max)
+        d = np.sqrt(np.diag(ref))
+        assert (np.abs(got - ref) / np.outer(d, d)).max() <= 1e-10
+
+    @pytest.mark.parametrize("family,n_max", [(Jacobi(0.5, -0.3), 200), (Chebyshev1(), 200), (LaguerreNeg(0.5), 100)])
+    def test_certifies_beyond_the_coefficient_cap(self, family, n_max):
+        meas = gram_offdiagonal_measures(sobolev_gram(family, 1.0, family.edge, n_max))
         assert meas["diag_min"] > 0
         assert meas["normalized"] <= 1e-9
 

@@ -1,9 +1,21 @@
 """Gauss rules for the supported weights, built from the recurrence data.
 
-Nodes are eigenvalues of the truncated symmetric tridiagonal recurrence
-matrix; weights come from the squared first components of its
-eigenvectors.  The eigensolver is an implicit-shift QL iteration that
-tracks only those first components, which is all the construction needs.
+The N nodes are the zeros of g_N, found by Newton's method on the
+three-term recurrence: one sweep of the recurrence for g_k and g_k'
+moves all N points at once, from asymptotic seeds that the family
+supplies (``gauss_seeds``).  The weights are the Christoffel numbers
+1 / sum_{k<N} g_k(x_i)^2, summed in the last sweep and corrected to
+first order for that sweep's Newton step, so each weight is accurate
+relative to itself, the small tail weights included.  A rule takes
+about three sweeps of O(N^2) numpy work and O(N) memory.
+
+The rule certifies itself: N converged zeros that are separated and
+inside the support are all N zeros of g_N.  Where seeds lead two points
+to one zero, or fail to converge, the zeros are isolated by Sturm
+counts (sign changes along g_0(x), ..., g_N(x)) and bisection, then
+found by Newton kept inside the brackets.  The sweep rescales its
+values by powers of two, so nothing overflows before a weight
+underflows, which raises ``QuadratureRangeError``.
 
 ``gauss_rule`` builds a rule from caller-supplied recurrence data and
 caches nothing.  ``family_rule`` memoizes the rule of a family at a
@@ -14,7 +26,6 @@ caller cannot corrupt the rule a later caller receives.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +42,16 @@ __all__ = [
     "weight_moments",
 ]
 
-# deflation threshold relative to the neighboring diagonal scale
-_DEFLATION = 1e-14
-_MAX_SWEEPS = 50
-# how far past a finite support end a node may round before it counts as wrong
-_EDGE_SLACK = 64 * np.finfo(float).eps
+# a Newton step below this fraction of the local node spacing has converged:
+# the node is then off by about its square, and so is the corrected weight
+_NEWTON_TOL = 1e-9
+_NEWTON_SWEEPS = 10
+# converged nodes closer than this fraction of the spacing are one zero twice
+_SEPARATION = 1e-3
+# the bisection that isolates each zero halves a bracket at most this often
+_BISECTION_SWEEPS = 200
+# growth, in bits, that the recurrence may take between two rescalings
+_RESCALE_BITS = 250
 # distinct (family, size) rules kept by family_rule; a 140-point rule is ~2 KB
 _RULE_CACHE_SIZE = 128
 
@@ -44,71 +60,176 @@ class QuadratureRangeError(ValueError):
     """The rule needs a number outside the double-precision range."""
 
 
-def _tridiag_eigen_first(d, e, max_iter: int = _MAX_SWEEPS):
-    """Eigenvalues (ascending) and eigenvector first components.
+class _Sweep:
+    """The recurrence for g_k and g_k' up to k = n, run over many points at once.
 
-    d: diagonal (length n), e: subdiagonal (length n-1).  Implicit-shift
-    QL with deflation; raises RuntimeError if an eigenvalue fails to
-    converge within ``max_iter`` sweeps.
-
-    The sweeps run on lists of Python floats: the same IEEE-754 double
-    operations in the same order as on numpy arrays, without boxing a
-    numpy scalar on every element read and write.
+    Every point gets the Newton step g_n / g_n', the Christoffel weight
+    of the node that step leads to and, on request, the number of zeros
+    of g_n below it.  Memory is a few arrays the size of the point set.
     """
-    hypot = math.hypot
-    copysign = math.copysign
-    d = [float(v) for v in d]
-    n = len(d)
-    e = [float(v) for v in e] + [0.0]
-    z = [0.0] * n
-    z[0] = 1.0
-    for l in range(n):
-        iteration = 0
-        while True:
-            m = l
-            while m < n - 1:
-                if abs(e[m]) <= _DEFLATION * (abs(d[m]) + abs(d[m + 1])):
-                    break
-                m += 1
-            if m == l:
-                break
-            if iteration == max_iter:
-                raise RuntimeError(f"eigen-iteration did not converge for index {l}")
-            iteration += 1
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                f = z[i + 1]
-                z[i + 1] = s * z[i] + c * f
-                z[i] = c * z[i] - s * f
-            if not underflow:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    d = np.array(d)
-    z = np.array(z)
-    order = np.argsort(d, kind="stable")
-    return d[order], z[order]
+
+    def __init__(self, rc: RecurrenceCoefficients, n: int, lo: float, hi: float) -> None:
+        a, b = rc.a_hat[:n], rc.b_hat[:n]
+        self.n, self.g0 = n, rc.g0
+        self.a, self.b = a.tolist(), b.tolist()
+        # max(|g_k|, |g_k-1|, |g_k'|, |g_k-1'|) grows per step by at most
+        # (|x - b_k| + a_k-1 + 1) / a_k for x in [lo, hi]; rescale each time
+        # the bound has gained another _RESCALE_BITS
+        reach = np.maximum(abs(lo - b), abs(hi - b)) + 1.0
+        reach[1:] += a[:-1]
+        bits = np.cumsum(np.log2(np.maximum(reach / a, 1.0))) // _RESCALE_BITS
+        self.rescale_after = frozenset(np.flatnonzero(np.diff(bits, prepend=0.0)).tolist())
+
+    def __call__(self, x: np.ndarray, count: bool = False):
+        """(step, weight, zeros below x or None) at every point of x.
+
+        The weight is the Christoffel number 1 / sum_{k<n} g_k^2 at
+        x - step, to first order: with S = sum g_k^2 and T = sum g_k g_k'
+        at x, that is 1 / (S - 2 step T).  Values are carried as
+        mantissas times 2^e per point, so neither sum overflows before
+        the weight itself underflows.
+        """
+        cur = np.zeros((2, x.size))
+        cur[0] = self.g0
+        prev = np.zeros_like(cur)
+        sums = np.zeros_like(cur)
+        exponent = changes = 0
+        a_prev = 0.0
+        for k, (a, b) in enumerate(zip(self.a, self.b)):
+            g = cur[0]
+            sums += g * cur
+            nxt = (x - b) * cur
+            nxt -= a_prev * prev
+            nxt[1] += g
+            nxt /= a
+            if count:
+                changes = changes + ((nxt[0] < 0.0) != (g < 0.0))
+            prev, cur, a_prev = cur, nxt, a
+            if k in self.rescale_after:
+                big = np.maximum(np.abs(cur).max(axis=0), np.abs(prev).max(axis=0))
+                shift = np.maximum(np.frexp(big)[1], 0)
+                cur, prev = np.ldexp(cur, -shift), np.ldexp(prev, -shift)
+                sums = np.ldexp(sums, -2 * shift)
+                exponent = exponent + shift
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = cur[0] / cur[1]
+            weight = 1.0 / (sums[0] - 2.0 * step * sums[1])
+        if self.rescale_after:
+            weight = np.ldexp(weight, -2 * exponent)
+        # sign changes along g_0(x), ..., g_n(x) count the zeros above x
+        return step, weight, self.n - changes if count else None
+
+
+def _spacing(x: np.ndarray) -> np.ndarray:
+    """Distance from each point to its nearest neighbour."""
+    gaps = np.abs(np.diff(x))
+    return np.minimum(np.concatenate(([np.inf], gaps)), np.concatenate((gaps, [np.inf])))
+
+
+def _newton(sweep: _Sweep, x: np.ndarray, spacing: np.ndarray, lo: float, hi: float):
+    """Newton's iteration from x: (nodes, weights), with weights None unless it converged."""
+    for _ in range(_NEWTON_SWEEPS):
+        step, weight, _ = sweep(x)
+        x = np.clip(x - step, lo, hi)
+        if np.all(np.abs(step) <= _NEWTON_TOL * spacing):
+            return x, weight
+    return x, None
+
+
+def _certified(nodes: np.ndarray, weights, spacing: np.ndarray) -> bool:
+    """True when n converged nodes are n distinct zeros of g_n, hence all of them."""
+    if weights is None:
+        return False
+    separated = np.diff(nodes) > _SEPARATION * np.minimum(spacing[:-1], spacing[1:])
+    return bool(np.all(separated) and np.all(weights >= 0.0))
+
+
+def _isolate(sweep: _Sweep, x: np.ndarray, spacing: np.ndarray, lo: float, hi: float):
+    """Brackets (below, above), each holding exactly one zero of g_n, in order.
+
+    The counts of zeros below points just either side of every given
+    point make the first brackets: a point that is a zero has no
+    trustworthy count of its own.  Bisection on the count then splits
+    every bracket that holds more or less than its own zero.
+    """
+    n = sweep.n
+    x = np.where(np.isfinite(x), x, 0.5 * (lo + hi))
+    offset = _SEPARATION * spacing
+    points = np.sort(np.clip(np.concatenate((x - offset, x + offset)), lo, hi))
+    below = np.maximum.accumulate(sweep(points, count=True)[2])
+    index = np.arange(n)
+    left = np.searchsorted(below, index, side="right")  # points with at most k zeros below
+    right = np.searchsorted(below, index + 1, side="left")  # first point with more than k
+    points_lo, counts_lo = np.concatenate(([lo], points)), np.concatenate(([0], below))
+    points_hi, counts_hi = np.concatenate((points, [hi])), np.concatenate((below, [n]))
+    a, ca = points_lo[left], counts_lo[left]
+    b, cb = points_hi[right], counts_hi[right]
+    for _ in range(_BISECTION_SWEEPS):
+        open_ = np.flatnonzero((ca != index) | (cb != index + 1))
+        if not open_.size:
+            return a, b
+        mid = 0.5 * (a[open_] + b[open_])
+        count = sweep(mid, count=True)[2]
+        up = count <= index[open_]
+        a[open_[up]], ca[open_[up]] = mid[up], count[up]
+        b[open_[~up]], cb[open_[~up]] = mid[~up], count[~up]
+    raise RuntimeError(f"the zeros of g_{n} could not be separated by bisection")
+
+
+def _repair(sweep: _Sweep, x: np.ndarray, spacing: np.ndarray, lo: float, hi: float):
+    """Nodes and weights from isolating brackets, by Newton kept inside them.
+
+    A bracket that holds one of the given points starts there, any other
+    at its middle; a step that would leave the bracket bisects it instead.
+    """
+    a, b = _isolate(sweep, x, spacing, lo, hi)
+    # the middles stand in for the zeros when measuring their spacing
+    spacing = _spacing(0.5 * (a + b)) if sweep.n > 1 else b - a
+    given = np.sort(x)
+    x = given[np.minimum(np.searchsorted(given, a, side="right"), sweep.n - 1)]
+    x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
+    nodes, weights = np.empty_like(x), np.empty_like(x)
+    # a point stops at its first converged step: another sweep could put a
+    # bracket end on the zero itself, and leave no open bracket around it
+    todo = np.arange(sweep.n)
+    for _ in range(_NEWTON_SWEEPS + _BISECTION_SWEEPS):
+        step, weight, below = sweep(x[todo], count=True)
+        done = np.abs(step) <= _NEWTON_TOL * spacing[todo]
+        nodes[todo[done]], weights[todo[done]] = x[todo[done]] - step[done], weight[done]
+        todo, step, below = todo[~done], step[~done], below[~done]
+        if not todo.size:
+            return np.clip(nodes, lo, hi), weights, spacing
+        up = below <= todo
+        a[todo] = np.where(up, x[todo], a[todo])
+        b[todo] = np.where(up, b[todo], x[todo])
+        guess = x[todo] - step
+        x[todo] = np.where((guess > a[todo]) & (guess < b[todo]), guess, 0.5 * (a[todo] + b[todo]))
+    raise RuntimeError(f"Newton's iteration for the zeros of g_{sweep.n} did not converge")
+
+
+def _newton_rule(family: FamilySpec, rc: RecurrenceCoefficients, n: int):
+    """Zeros of g_n and their Christoffel weights, by Newton from the family's seeds.
+
+    The result certifies itself: n converged, separated zeros inside the
+    support are all n.  Otherwise the zeros are isolated by counting
+    and found again.
+    """
+    a, b = rc.a_hat[: n - 1], rc.b_hat[:n]
+    # Gershgorin's discs of the Jacobi matrix, cut to the support, hold every zero
+    radius = np.concatenate(([0.0], a)) + np.concatenate((a, [0.0]))
+    lo = max(family.support[0], float((b - radius).min()))
+    hi = min(family.support[1], float((b + radius).max()))
+    sweep = _Sweep(rc, n, lo, hi)
+    seeds = family.gauss_seeds(n)
+    spacing = _spacing(seeds) if n > 1 else np.array([hi - lo])
+    nodes, weights = _newton(sweep, seeds, spacing, lo, hi)
+    if not _certified(nodes, weights, spacing):
+        # a seed that led to a zero already taken, or to none: find the
+        # zeros again by counting, from where Newton's iteration stopped
+        nodes, weights, spacing = _repair(sweep, nodes, spacing, lo, hi)
+        if not _certified(nodes, weights, spacing):
+            raise RuntimeError(f"{family!r} rule with N = {n}: the Gauss nodes did not separate")
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -146,10 +267,7 @@ def gauss_rule(family: FamilySpec, rc: RecurrenceCoefficients, n_points: int) ->
         raise ValueError("a Gauss rule needs at least one node")
     if rc.n_max < n_points - 1:
         raise ValueError(f"recurrence data covers 0..{rc.n_max}, need 0..{n_points - 1}")
-    d = rc.b_hat[:n_points]
-    e = rc.a_hat[: n_points - 1]
-    nodes, first = _tridiag_eigen_first(d, e)
-    weights = rc.mu0 * first**2
+    nodes, weights = _newton_rule(family, rc, n_points)
     underflowed = np.flatnonzero(weights == 0.0)
     if underflowed.size:
         k = int(underflowed[0])
@@ -157,12 +275,10 @@ def gauss_rule(family: FamilySpec, rc: RecurrenceCoefficients, n_points: int) ->
             f"{family!r} rule with N = {n_points}: the weight at node {k} "
             f"(x = {nodes[k]:.6g}) underflows to 0 in double precision"
         )
-    lo, hi = family.support
-    if np.any(nodes < lo - _EDGE_SLACK) or np.any(nodes > hi + _EDGE_SLACK):
-        raise RuntimeError("computed nodes left the support interval")
-    # an exponent near -1 puts a node within round-off of that end, where the
-    # solver may place it on or just past the end; the nearest double inside
+    # an exponent near -1 puts a node within round-off of that end, where
+    # Newton's step may land on the end itself; the nearest double inside
     # is as accurate
+    lo, hi = family.support
     nodes = np.clip(nodes, np.nextafter(lo, hi), np.nextafter(hi, lo))
     return QuadratureRule(nodes=nodes, weights=weights, exact_degree=2 * n_points - 1, weight_id=family)
 

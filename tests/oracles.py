@@ -135,13 +135,97 @@ def dense_gauss_rule(b_hat: np.ndarray, a_hat: np.ndarray, mu0: float, n_points:
     Nodes are the eigenvalues of the N x N Jacobi matrix (diagonal
     b_hat, off-diagonal a_hat); weights are mu0 times the squared first
     components of its normalized eigenvectors.  Structurally independent
-    of the package's tridiagonal QL solver.
+    of the package's Newton iteration on the recurrence.
     """
     jac = np.diag(np.asarray(b_hat[:n_points], dtype=float))
     off = np.asarray(a_hat[: n_points - 1], dtype=float)
     jac += np.diag(off, 1) + np.diag(off, -1)
     nodes, vecs = np.linalg.eigh(jac)
     return nodes, mu0 * vecs[0] ** 2
+
+
+# QL deflation threshold relative to the neighboring diagonal scale
+_QL_DEFLATION = 1e-14
+_QL_MAX_SWEEPS = 50
+
+
+def _tridiag_eigen_first(d, e, max_iter: int = _QL_MAX_SWEEPS):
+    """Eigenvalues (ascending) and eigenvector first components.
+
+    d: diagonal (length n), e: subdiagonal (length n-1).  Implicit-shift
+    QL with deflation; raises RuntimeError if an eigenvalue fails to
+    converge within ``max_iter`` sweeps.
+
+    The sweeps run on lists of Python floats: the same IEEE-754 double
+    operations in the same order as on numpy arrays, without boxing a
+    numpy scalar on every element read and write.
+    """
+    hypot = math.hypot
+    copysign = math.copysign
+    d = [float(v) for v in d]
+    n = len(d)
+    e = [float(v) for v in e] + [0.0]
+    z = [0.0] * n
+    z[0] = 1.0
+    for l in range(n):
+        iteration = 0
+        while True:
+            m = l
+            while m < n - 1:
+                if abs(e[m]) <= _QL_DEFLATION * (abs(d[m]) + abs(d[m + 1])):
+                    break
+                m += 1
+            if m == l:
+                break
+            if iteration == max_iter:
+                raise RuntimeError(f"eigen-iteration did not converge for index {l}")
+            iteration += 1
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            underflow = False
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    underflow = True
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                f = z[i + 1]
+                z[i + 1] = s * z[i] + c * f
+                z[i] = c * z[i] - s * f
+            if not underflow:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    d = np.array(d)
+    z = np.array(z)
+    order = np.argsort(d, kind="stable")
+    return d[order], z[order]
+
+
+def ql_gauss_rule(b_hat: np.ndarray, a_hat: np.ndarray, mu0: float, n_points: int):
+    """Golub-Welsch rule from an implicit-shift QL iteration in pure Python.
+
+    Nodes are the eigenvalues of the N x N Jacobi matrix, weights mu0
+    times the squared first eigenvector components; O(N^2) work and
+    O(N) memory.  Independent of the package's Newton iteration on the
+    recurrence, and of LAPACK.
+    """
+    nodes, first = _tridiag_eigen_first(b_hat[:n_points], a_hat[: n_points - 1])
+    return nodes, mu0 * first**2
 
 
 def fd1(f, x: float, h: float = 1e-6) -> float:

@@ -12,6 +12,15 @@ def test_gamma_against_stdlib():
     assert worst < 1e-12
 
 
+def test_gamma_against_stdlib_up_to_overflow():
+    # the whole double range of Gamma, which ends at 171.62
+    xs = np.linspace(0.01, 171.6, 4001)
+    worst = max(abs(gamma_fn(float(x)) / math.gamma(float(x)) - 1.0) for x in xs)
+    assert worst <= 1e-13
+    with pytest.raises(OverflowError):
+        gamma_fn(171.7)
+
+
 def test_lgamma_against_stdlib():
     xs = np.linspace(0.01, 170.0, 2001)
     for x in xs:

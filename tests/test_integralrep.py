@@ -230,8 +230,8 @@ class TestRuleReuse:
     ])
     def test_second_call_skips_rule_construction(self, route, monkeypatch):
         calls = []
-        solver = quadrature._tridiag_eigen_first
-        monkeypatch.setattr(quadrature, "_tridiag_eigen_first", lambda d, e: calls.append(1) or solver(d, e))
+        solver = quadrature._newton_rule
+        monkeypatch.setattr(quadrature, "_newton_rule", lambda f, rc, n: calls.append(1) or solver(f, rc, n))
         quadrature.family_rule.cache_clear()
         first = route()
         built = len(calls)

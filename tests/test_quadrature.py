@@ -18,7 +18,7 @@ from modkernel.quadrature import (
     weight_moments,
 )
 
-from oracles import dense_gauss_rule, jacobi_moments_lowdeg, laguerre_neg_moments
+from oracles import dense_gauss_rule, jacobi_moments_lowdeg, laguerre_neg_moments, ql_gauss_rule
 
 FAMILIES = [Jacobi(0.5, -0.3), Jacobi(1.7, 1.7), LaguerreNeg(0.0), LaguerreNeg(2.5), Chebyshev1()]
 
@@ -102,16 +102,57 @@ def test_large_rule_matches_dense_eigensolver(family, n):
     assert np.abs(rule.weights - weights).max() <= 1e-9 * weights.max()
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "weights from squared first eigenvector components carry absolute, not relative, "
-    "accuracy, so the small tail weights of a large rule are off; measured 5.2e-10"
-))
 def test_large_symmetric_rule_integrates_high_degree_square():
     fam = Jacobi(2.95, 2.95)
     rc = recurrence_coefficients(fam, 600)
     rule = gauss_rule(fam, rc, 600)
     g = orthonormal_values(rc, 450, rule.nodes)[450]
     assert abs(rule.weights @ g**2 - 1.0) <= 1e-11
+
+
+@pytest.mark.parametrize("family, n", [
+    (Jacobi(-0.9, 1.9), 530),
+    (Jacobi(-0.9999, 0.5), 300),
+    (LaguerreNeg(0.5), 180),
+])
+def test_tail_weights_and_mass(family, n):
+    # g_k^2 for k near N puts its mass on the small end weights, so these
+    # sums hold only if every weight is accurate relative to itself
+    rc = recurrence_coefficients(family, n)
+    rule = gauss_rule(family, rc, n)
+    assert rule.weights.sum() == pytest.approx(rc.mu0, rel=1e-12)
+    g = orthonormal_values(rc, n - 1, rule.nodes)
+    for k in (n // 2, (3 * n) // 4, n - 1):
+        assert abs(rule.weights @ g[k] ** 2 - 1.0) <= 1e-11
+
+
+def _matches_ql_oracle(family, n, rule):
+    rc = recurrence_coefficients(family, n)
+    nodes, weights = ql_gauss_rule(rc.b_hat, rc.a_hat, rc.mu0, n)
+    assert np.abs(rule.nodes - nodes).max() <= 1e-13 * max(1.0, np.abs(nodes).max())
+    assert np.abs(rule.weights - weights).max() <= 1e-9 * weights.max()
+    assert rule.weights.sum() == pytest.approx(rc.mu0, rel=1e-12)
+
+
+@pytest.mark.parametrize("family, n", [
+    # seeds that Newton's iteration led to one zero twice
+    (Jacobi(40.0, 0.5), 60),
+    (LaguerreNeg(40.0), 50),
+    (LaguerreNeg(10.0), 180),
+])
+def test_seed_failure_cases_match_ql_oracle(family, n):
+    _matches_ql_oracle(family, n, gauss_rule(family, recurrence_coefficients(family, n), n))
+
+
+@pytest.mark.parametrize("family, n", [(Jacobi(0.5, -0.3), 40), (LaguerreNeg(2.5), 40), (Chebyshev1(), 9)])
+@pytest.mark.parametrize("seeds", [np.zeros, lambda n: np.full(n, -0.25), lambda n: np.linspace(-0.5, -0.4, n)])
+def test_degenerate_seeds_are_repaired(family, n, seeds, monkeypatch):
+    repairs = []
+    repair = quadrature._repair
+    monkeypatch.setattr(quadrature, "_repair", lambda *args: repairs.append(1) or repair(*args))
+    monkeypatch.setattr(type(family), "gauss_seeds", lambda self, n_points: seeds(n_points))
+    _matches_ql_oracle(family, n, gauss_rule(family, recurrence_coefficients(family, n), n))
+    assert repairs == [1]
 
 
 def test_moments_match_independent_formulas():
@@ -126,6 +167,12 @@ def test_moments_match_independent_formulas():
     m = weight_moments(Chebyshev1(), 6)
     np.testing.assert_allclose(m[[0, 2, 4, 6]], [math.pi, math.pi / 2, 3 * math.pi / 8, 5 * math.pi / 16], rtol=1e-14)
     np.testing.assert_allclose(m[[1, 3, 5]], 0.0, atol=1e-300)
+
+
+def test_laguerre_moments_reach_gamma_range():
+    # Gamma(alpha + k + 1) is a double up to alpha + k + 1 = 171.6
+    assert np.all(np.isfinite(weight_moments(LaguerreNeg(0.5), 150)))
+    np.testing.assert_allclose(weight_moments(LaguerreNeg(0.5), 150), laguerre_neg_moments(0.5, 150), rtol=1e-12)
 
 
 def test_integrate_constant_and_orthonormal_pairs():
@@ -188,14 +235,29 @@ def test_laguerre_weight_underflow_is_named():
     assert np.all(rule.weights > 0.0)
 
 
+@pytest.mark.parametrize("alpha", [-0.9, 0.0, 0.5, 2.0])
+def test_laguerre_range_reaches_ql_range(alpha):
+    # every N whose QL weights are all representable still builds (the
+    # Christoffel weights may reach one N further); the QL range ends by 200
+    fam = LaguerreNeg(alpha)
+    rc = recurrence_coefficients(fam, 200)
+    for n in range(180, 201):
+        nodes, weights = ql_gauss_rule(rc.b_hat, rc.a_hat, rc.mu0, n)
+        if np.all(weights > 0.0):
+            rule = gauss_rule(fam, rc, n)
+            assert np.abs(rule.nodes - nodes).max() <= 1e-13 * np.abs(nodes).max()
+        else:
+            break
+    assert n < 200
+
+
 @pytest.mark.parametrize(
     "alpha,n,what",
     [
-        # alpha 0.5: the rule sums of x^k overflow before the gamma moments do
+        # x^k at the outermost node overflows before the gamma moments
+        # Gamma(alpha + k + 1) do; at alpha 40 those reach k = 130
         (0.5, 85, r"the rule sum of x\^124"),
-        # alpha 40: Gamma(alpha + k + 1) overflows from k = 102 while the
-        # rule sums, with nodes down to about -292, are still finite
-        (40.0, 60, r"the moment of x\^102"),
+        (40.0, 63, r"the rule sum of x\^125"),
     ],
 )
 def test_laguerre_moment_overflow_is_named(alpha, n, what):
@@ -225,8 +287,8 @@ class TestFamilyRule:
 
     def test_repeat_reuses_rule(self, monkeypatch):
         calls = []
-        solver = quadrature._tridiag_eigen_first
-        monkeypatch.setattr(quadrature, "_tridiag_eigen_first", lambda d, e: calls.append(1) or solver(d, e))
+        solver = quadrature._newton_rule
+        monkeypatch.setattr(quadrature, "_newton_rule", lambda f, rc, n: calls.append(1) or solver(f, rc, n))
         family_rule.cache_clear()
         fam = Jacobi(0.0, 0.615)
         first = family_rule(fam, 30)

@@ -45,6 +45,11 @@ __all__ = [
 # a Newton step below this fraction of the local node spacing has converged:
 # the node is then off by about its square, and so is the corrected weight
 _NEWTON_TOL = 1e-9
+# Newton squares the step (times a constant near 1 to 10), so once a step is
+# below this fraction of the spacing the next sweep may be the last, and it
+# sums the weights; summing in vain costs a quarter of a sweep, and missing
+# the last sweep a whole one, so the threshold errs towards summing
+_LAST_SWEEP = 1e-4
 _NEWTON_SWEEPS = 10
 # converged nodes closer than this fraction of the spacing are one zero twice
 _SEPARATION = 1e-3
@@ -80,14 +85,15 @@ class _Sweep:
         bits = np.cumsum(np.log2(np.maximum(reach / a, 1.0))) // _RESCALE_BITS
         self.rescale_after = frozenset(np.flatnonzero(np.diff(bits, prepend=0.0)).tolist())
 
-    def __call__(self, x: np.ndarray, count: bool = False):
-        """(step, weight, zeros below x or None) at every point of x.
+    def __call__(self, x: np.ndarray, weights: bool = True, count: bool = False):
+        """(step, weight or None, zeros below x or None) at every point of x.
 
         The weight is the Christoffel number 1 / sum_{k<n} g_k^2 at
         x - step, to first order: with S = sum g_k^2 and T = sum g_k g_k'
         at x, that is 1 / (S - 2 step T).  Values are carried as
         mantissas times 2^e per point, so neither sum overflows before
-        the weight itself underflows.
+        the weight itself underflows.  Without ``weights`` the sums are
+        skipped, a quarter of the work.
         """
         cur = np.zeros((2, x.size))
         cur[0] = self.g0
@@ -97,7 +103,8 @@ class _Sweep:
         a_prev = 0.0
         for k, (a, b) in enumerate(zip(self.a, self.b)):
             g = cur[0]
-            sums += g * cur
+            if weights:
+                sums += g * cur
             nxt = (x - b) * cur
             nxt -= a_prev * prev
             nxt[1] += g
@@ -113,8 +120,8 @@ class _Sweep:
                 exponent = exponent + shift
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = cur[0] / cur[1]
-            weight = 1.0 / (sums[0] - 2.0 * step * sums[1])
-        if self.rescale_after:
+            weight = 1.0 / (sums[0] - 2.0 * step * sums[1]) if weights else None
+        if weights and self.rescale_after:
             weight = np.ldexp(weight, -2 * exponent)
         # sign changes along g_0(x), ..., g_n(x) count the zeros above x
         return step, weight, self.n - changes if count else None
@@ -127,12 +134,20 @@ def _spacing(x: np.ndarray) -> np.ndarray:
 
 
 def _newton(sweep: _Sweep, x: np.ndarray, spacing: np.ndarray, lo: float, hi: float):
-    """Newton's iteration from x: (nodes, weights), with weights None unless it converged."""
+    """Newton's iteration from x: (nodes, weights), with weights None unless it converged.
+
+    The first sweep sums the weights, since seeds may already be the
+    zeros (Chebyshev); later sweeps sum them only once the previous
+    step was below _LAST_SWEEP.
+    """
+    weights = True
     for _ in range(_NEWTON_SWEEPS):
-        step, weight, _ = sweep(x)
+        step, weight, _ = sweep(x, weights)
         x = np.clip(x - step, lo, hi)
-        if np.all(np.abs(step) <= _NEWTON_TOL * spacing):
+        size = np.abs(step)
+        if weight is not None and np.all(size <= _NEWTON_TOL * spacing):
             return x, weight
+        weights = bool(np.all(size <= _LAST_SWEEP * spacing))
     return x, None
 
 
@@ -156,7 +171,7 @@ def _isolate(sweep: _Sweep, x: np.ndarray, spacing: np.ndarray, lo: float, hi: f
     x = np.where(np.isfinite(x), x, 0.5 * (lo + hi))
     offset = _SEPARATION * spacing
     points = np.sort(np.clip(np.concatenate((x - offset, x + offset)), lo, hi))
-    below = np.maximum.accumulate(sweep(points, count=True)[2])
+    below = np.maximum.accumulate(sweep(points, weights=False, count=True)[2])
     index = np.arange(n)
     left = np.searchsorted(below, index, side="right")  # points with at most k zeros below
     right = np.searchsorted(below, index + 1, side="left")  # first point with more than k
@@ -169,7 +184,7 @@ def _isolate(sweep: _Sweep, x: np.ndarray, spacing: np.ndarray, lo: float, hi: f
         if not open_.size:
             return a, b
         mid = 0.5 * (a[open_] + b[open_])
-        count = sweep(mid, count=True)[2]
+        count = sweep(mid, weights=False, count=True)[2]
         up = count <= index[open_]
         a[open_[up]], ca[open_[up]] = mid[up], count[up]
         b[open_[~up]], cb[open_[~up]] = mid[~up], count[~up]

@@ -3,11 +3,13 @@
 The N nodes are the zeros of g_N, found by Newton's method on the
 three-term recurrence: one sweep of the recurrence for g_k and g_k'
 moves all N points at once, from asymptotic seeds that the family
-supplies (``gauss_seeds``).  The weights are the Christoffel numbers
-1 / sum_{k<N} g_k(x_i)^2, summed in the last sweep and corrected to
-first order for that sweep's Newton step, so each weight is accurate
-relative to itself, the small tail weights included.  A rule takes
-about three sweeps of O(N^2) numpy work and O(N) memory.
+supplies (``gauss_seeds``), and the family's differential equation
+gives g_N'' for Halley's cubically convergent form of the step.  The
+weights are the Christoffel numbers 1 / sum_{k<N} g_k(x_i)^2, summed
+in the last sweep and corrected to first order for that sweep's step,
+so each weight is accurate relative to itself, the small tail weights
+included.  A rule takes two to four sweeps of O(N^2) numpy work and
+O(N) memory.
 
 The rule certifies itself: N converged zeros that are separated and
 inside the support are all N zeros of g_N.  Where seeds lead two points
@@ -45,11 +47,11 @@ __all__ = [
 # a Newton step below this fraction of the local node spacing has converged:
 # the node is then off by about its square, and so is the corrected weight
 _NEWTON_TOL = 1e-9
-# Newton squares the step (times a constant near 1 to 10), so once a step is
-# below this fraction of the spacing the next sweep may be the last, and it
-# sums the weights; summing in vain costs a quarter of a sweep, and missing
-# the last sweep a whole one, so the threshold errs towards summing
-_LAST_SWEEP = 1e-4
+# Halley's step cubes the error, so once a step is below this fraction of
+# the spacing the next sweep may be the last, and it sums the weights;
+# summing in vain costs a quarter of a sweep, and missing the last sweep a
+# whole one, so the threshold errs towards summing
+_LAST_SWEEP = 1e-3
 _NEWTON_SWEEPS = 10
 # converged nodes closer than this fraction of the spacing are one zero twice
 _SEPARATION = 1e-3
@@ -68,14 +70,18 @@ class QuadratureRangeError(ValueError):
 class _Sweep:
     """The recurrence for g_k and g_k' up to k = n, run over many points at once.
 
-    Every point gets the Newton step g_n / g_n', the Christoffel weight
-    of the node that step leads to and, on request, the number of zeros
-    of g_n below it.  Memory is a few arrays the size of the point set.
+    Every point gets a step towards a zero of g_n, the Christoffel
+    weight of the node that step leads to and, on request, the number
+    of zeros of g_n below it.  Memory is a few arrays the size of the
+    point set.
     """
 
-    def __init__(self, rc: RecurrenceCoefficients, n: int, lo: float, hi: float) -> None:
+    def __init__(self, family: FamilySpec, rc: RecurrenceCoefficients, n: int, lo: float, hi: float) -> None:
         a, b = rc.a_hat[:n], rc.b_hat[:n]
         self.n, self.g0 = n, rc.g0
+        # g_n solves p2 g'' + p1 g' = lambda g, the family's differential equation
+        self.eigenvalue = family.spectral_term(n)
+        self.p2, self.p1 = family.operator_coefficients()
         self.a, self.b = a.tolist(), b.tolist()
         # max(|g_k|, |g_k-1|, |g_k'|, |g_k-1'|) grows per step by at most
         # (|x - b_k| + a_k-1 + 1) / a_k for x in [lo, hi]; rescale each time
@@ -83,22 +89,25 @@ class _Sweep:
         reach = np.maximum(abs(lo - b), abs(hi - b)) + 1.0
         reach[1:] += a[:-1]
         bits = np.cumsum(np.log2(np.maximum(reach / a, 1.0))) // _RESCALE_BITS
-        self.rescale_after = frozenset(np.flatnonzero(np.diff(bits, prepend=0.0)).tolist())
+        self.rescale_after = frozenset(np.searchsorted(bits, np.arange(1.0, bits[-1] + 1.0)).tolist())
 
     def __call__(self, x: np.ndarray, weights: bool = True, count: bool = False):
         """(step, weight or None, zeros below x or None) at every point of x.
 
-        The weight is the Christoffel number 1 / sum_{k<n} g_k^2 at
-        x - step, to first order: with S = sum g_k^2 and T = sum g_k g_k'
-        at x, that is 1 / (S - 2 step T).  Values are carried as
+        The step is Halley's, with g_n'' from the differential equation,
+        wherever that changes Newton's step g_n / g_n' by less than a
+        factor of two, and Newton's elsewhere; either way it vanishes
+        only at a zero.  The weight is the Christoffel number
+        1 / sum_{k<n} g_k^2 at x - step, to first order: with
+        S = sum g_k^2 and T = sum g_k g_k' at x, that is 1 / (S - 2 step T).  Values are carried as
         mantissas times 2^e per point, so neither sum overflows before
         the weight itself underflows.  Without ``weights`` the sums are
         skipped, a quarter of the work.
         """
         cur = np.zeros((2, x.size))
         cur[0] = self.g0
-        prev = np.zeros_like(cur)
-        sums = np.zeros_like(cur)
+        prev = np.zeros((2, x.size))
+        sums = np.zeros((2, x.size))
         exponent = changes = 0
         a_prev = 0.0
         for k, (a, b) in enumerate(zip(self.a, self.b)):
@@ -119,12 +128,23 @@ class _Sweep:
                 sums = np.ldexp(sums, -2 * shift)
                 exponent = exponent + shift
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = cur[0] / cur[1]
+            newton = cur[0] / cur[1]
+            # 1 - newton g''/(2 g') with g''/g' = (lambda newton - p1) / p2
+            p1, p2 = _horner(self.p1, x), _horner(self.p2, x)
+            factor = 1.0 - newton * (self.eigenvalue * newton - p1) / (2.0 * p2)
+            step = np.where((factor > 0.5) & (factor < 2.0), newton / factor, newton)
             weight = 1.0 / (sums[0] - 2.0 * step * sums[1]) if weights else None
         if weights and self.rescale_after:
             weight = np.ldexp(weight, -2 * exponent)
         # sign changes along g_0(x), ..., g_n(x) count the zeros above x
         return step, weight, self.n - changes if count else None
+
+
+def _horner(ascending: list, x: np.ndarray):
+    value = ascending[-1]
+    for c in ascending[-2::-1]:
+        value = value * x + c
+    return value
 
 
 def _spacing(x: np.ndarray) -> np.ndarray:
@@ -145,9 +165,9 @@ def _newton(sweep: _Sweep, x: np.ndarray, spacing: np.ndarray, lo: float, hi: fl
         step, weight, _ = sweep(x, weights)
         x = np.clip(x - step, lo, hi)
         size = np.abs(step)
-        if weight is not None and np.all(size <= _NEWTON_TOL * spacing):
+        if weight is not None and (size <= _NEWTON_TOL * spacing).all():
             return x, weight
-        weights = bool(np.all(size <= _LAST_SWEEP * spacing))
+        weights = bool((size <= _LAST_SWEEP * spacing).all())
     return x, None
 
 
@@ -156,7 +176,7 @@ def _certified(nodes: np.ndarray, weights, spacing: np.ndarray) -> bool:
     if weights is None:
         return False
     separated = np.diff(nodes) > _SEPARATION * np.minimum(spacing[:-1], spacing[1:])
-    return bool(np.all(separated) and np.all(weights >= 0.0))
+    return bool(separated.all() and (weights >= 0.0).all())
 
 
 def _isolate(sweep: _Sweep, x: np.ndarray, spacing: np.ndarray, lo: float, hi: float):
@@ -234,7 +254,7 @@ def _newton_rule(family: FamilySpec, rc: RecurrenceCoefficients, n: int):
     radius = np.concatenate(([0.0], a)) + np.concatenate((a, [0.0]))
     lo = max(family.support[0], float((b - radius).min()))
     hi = min(family.support[1], float((b + radius).max()))
-    sweep = _Sweep(rc, n, lo, hi)
+    sweep = _Sweep(family, rc, n, lo, hi)
     seeds = family.gauss_seeds(n)
     spacing = _spacing(seeds) if n > 1 else np.array([hi - lo])
     nodes, weights = _newton(sweep, seeds, spacing, lo, hi)

@@ -135,7 +135,8 @@ def _matches_ql_oracle(family, n, rule):
 
 
 @pytest.mark.parametrize("family, n", [
-    # seeds that Newton's iteration led to one zero twice
+    # large parameters, where asymptotic seeds can lead two points to one
+    # zero (the first two take the repair)
     (Jacobi(40.0, 0.5), 60),
     (LaguerreNeg(40.0), 50),
     (LaguerreNeg(10.0), 180),

@@ -141,6 +141,7 @@ class _Sweep:
 
 
 def _horner(ascending: list, x: np.ndarray):
+    """The polynomial with these ascending coefficients, at x."""
     value = ascending[-1]
     for c in ascending[-2::-1]:
         value = value * x + c

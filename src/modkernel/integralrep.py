@@ -7,9 +7,15 @@ is a terminating 2F0 series.  Everything here is evaluated honestly as
 the stated integrals; the closed-form route through the orthonormal
 family serves as the independent comparison side.
 
-Numerical notes.  The Bessel series is summed in extended precision
-with a running error estimate (the series suffers catastrophic
-cancellation as the argument grows; the estimate is conservative).  The
+Numerical notes.  The Bessel series is summed in extended precision in
+one array pass.  A scalar pass at the largest and smallest argument
+bounds the number of terms first; then every term is built at once, a
+running product of the term ratios down the rows of one array, and the
+stopping index is the first where the largest term falls below
+series_tol times the largest partial sum, as in a term-by-term loop.
+The error estimate grows with the largest term, because the series
+suffers catastrophic cancellation as the argument grows; it is
+conservative, and it includes the rounding of the sum to double.  The
 outer integrand carries an algebraic factor t^(n+alpha) at the origin
 which would ruin plain Gauss-Legendre convergence for non-integer
 alpha, so that factor is absorbed exactly into a mapped Gauss rule for
@@ -96,29 +102,83 @@ def pochhammer(c: float, k: int) -> float:
     return acc
 
 
+def _term_bound(nu: float, lead: float, w_top: float, w_min: float, series_tol: float) -> int:
+    """An upper bound on the stopping index of the series on [w_min, w_top].
+
+    Every term is largest in magnitude at w_top, and |S_k(w_min)| is at
+    most the largest partial sum over all arguments, so the first k with
+    |term_k(w_top)| <= series_tol * |S_k(w_min)| is never earlier than
+    the stopping index of ``_bessel_block``; it is usually the same k,
+    as |A_nu| is largest near w = 0.  This scalar pass runs in double
+    precision, so one more term covers its rounding.  At most m_cap.
+    """
+    m_cap = int(max(40, 2.0 * math.sqrt(max(w_top, 1.0)) + 60))
+    top = low = low_sum = lead
+    for k in range(1, m_cap + 1):
+        d = k * (k + nu)
+        top *= -w_top / d
+        low *= -w_min / d
+        low_sum += low
+        if abs(top) <= series_tol * max(abs(low_sum), 1e-300):
+            return min(k + 1, m_cap)
+    return m_cap
+
+
+def _bessel_block(nu: float, wa: np.ndarray, series_tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sum, peak |term| per component, and the stopping index m, for one block of arguments.
+
+    All terms up to the bound of ``_term_bound`` are built in one
+    extended-precision array: term k is term k - 1 times the ratio
+    -w / (k (k + nu)), a running product down the rows.  The stopping
+    index m is the first with max |term_m| <= series_tol * max |S_m|
+    over the block, and the sum is S_m, added in order of m.
+    """
+    ld = np.longdouble
+    top = int(wa.argmax())
+    w_top = float(wa[top])
+    lead = ld(1.0) / ld(gamma_fn(nu + 1.0))
+    bound = _term_bound(nu, float(lead), w_top, float(wa.min()), series_tol)
+    k = np.arange(1, bound + 1, dtype=ld)
+    terms = np.empty((bound + 1, wa.size), dtype=ld)
+    terms[0] = lead
+    np.multiply((-1.0 / (k * (k + ld(nu))))[:, None], wa, out=terms[1:])
+    np.cumprod(terms, axis=0, out=terms)
+    # |term_k| grows while k (k + nu) < w, so no column peaks after row k_top + 1
+    k_top = int(0.5 * (math.sqrt(nu * nu + 4.0 * w_top) - nu))
+    peak = np.abs(terms[: k_top + 2]).max(axis=0)
+    largest = np.abs(terms[:, top])
+    # no partial sum exceeds the sum of the largest terms, so the stop is at `first` or later
+    first = max(1, int(np.argmax(largest <= series_tol * np.cumsum(largest))))
+    sums = np.cumsum(terms, axis=0, out=terms)
+    done = largest[first:] <= series_tol * np.maximum(np.abs(sums[first:]).max(axis=1), 1e-300)
+    m = first + int(done.argmax()) if done.any() else bound
+    return sums[m], peak, m
+
+
+# arguments per block, so that the term arrays stay within a few megabytes
+_BLOCK = 2048
+
+
 def _bessel_reg(nu: float, w, series_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Entire part A_nu(w) = sum (-1)^m w^m / (m! Gamma(m+nu+1)) and error estimate.
 
-    J_nu(2 sqrt(w)) = w^(nu/2) A_nu(w) for w >= 0.  Terms are generated
-    in extended precision; the returned estimate bounds the round-off
-    from cancellation (conservatively) per component.
+    J_nu(2 sqrt(w)) = w^(nu/2) A_nu(w) for w >= 0.  Each block of
+    arguments is summed by ``_bessel_block`` in one array pass.  The
+    returned estimate bounds the round-off from cancellation
+    (conservatively) per component, plus one unit in the last place for
+    the rounding of the sum to double.  It does not cover the error of
+    Gamma(nu + 1) itself.
     """
-    ld = np.longdouble
-    wa = np.atleast_1d(np.asarray(w, dtype=ld))
-    term = np.full_like(wa, ld(1.0) / ld(gamma_fn(nu + 1.0)))
-    total = term.copy()
-    peak = np.abs(term)
-    w_top = float(wa.max()) if wa.size else 0.0
-    m_cap = int(max(40, 2.0 * math.sqrt(max(w_top, 1.0)) + 60))
-    m = 0
-    for m in range(1, m_cap + 1):
-        term = -term * wa / (ld(m) * ld(m + nu))
-        total += term
-        np.maximum(peak, np.abs(term), out=peak)
-        if float(np.abs(term).max()) <= series_tol * max(float(np.abs(total).max()), 1e-300):
-            break
-    est = peak.astype(float) * (_LD_EPS * 4.0 * math.sqrt(m + 1.0))
-    return total.astype(float), est
+    wa = np.atleast_1d(np.asarray(w, dtype=np.longdouble))
+    flat = wa.ravel()
+    total = np.empty(flat.shape)
+    est = np.empty(flat.shape)
+    for lo in range(0, flat.size, _BLOCK):
+        block_sum, peak, m = _bessel_block(nu, flat[lo : lo + _BLOCK], series_tol)
+        total[lo : lo + _BLOCK] = block_sum
+        est[lo : lo + _BLOCK] = peak * (_LD_EPS * 4.0 * math.sqrt(m + 1.0))
+    est += np.spacing(np.abs(total))
+    return total.reshape(wa.shape), est.reshape(wa.shape)
 
 
 def bessel_j(

@@ -257,6 +257,14 @@ class TestIntegralcheckCommand:
         assert err.startswith("error: x = -1000000.0") and err.count("\n") == 1
 
 
+    def test_budget_refusal_marks_the_domain_edge(self, capsys):
+        # the Bessel round-off budget is what ends the measured domain of the routes
+        code = run(["integralcheck", "--alpha", "0", "--c", "1", "--nmax", "1", "--x=-20"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: Bessel series round-off budget 0.118 exceeds 0.001 ") and err.count("\n") == 1
+
+
 class TestPlotdataCommand:
     def test_tn_bounds_columns(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

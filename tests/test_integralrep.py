@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from modkernel import quadrature
+from modkernel import integralrep, quadrature
+from modkernel.gammafn import gamma_fn
 from modkernel.integralrep import (
     CutoffError,
     SeriesRangeError,
@@ -18,7 +19,14 @@ from modkernel.integralrep import (
     sobolev_laguerre_integral_rep,
 )
 
-from oracles import laguerre_poly_value
+from oracles import bessel_series_oracle, laguerre_poly_value
+
+# orders and arguments of the series scan: w = 350 is 2 sqrt(w) = 37.4,
+# beyond bessel_j's default zmax and inside the integral routes' range
+SCAN_NU = (0.0, 0.5, 1.0, 2.0, 3.0, 1.3)
+SCAN_W = np.linspace(0.0, 350.0, 400)
+# x grid of the mpmath oracles of both integral routes, down to x = -12
+ROUTE_X = (-0.1, -1.0, -5.0, -12.0)
 
 
 class TestPochhammer:
@@ -69,6 +77,63 @@ class TestBessel:
             bessel_j(-1.5, 1.0)
         with pytest.raises(ValueError):
             bessel_j(0.0, -1.0)
+
+
+class TestBesselSeriesKernel:
+    """The one-pass series against the per-term loop it replaced."""
+
+    @staticmethod
+    def _check(nu, w):
+        tol = 1e-15
+        got, est = integralrep._bessel_reg(nu, w, tol)
+        ref, ref_est, ref_terms = bessel_series_oracle(nu, w, tol, gamma_fn(nu + 1.0))
+        assert integralrep._bessel_block(nu, np.asarray(w, dtype=np.longdouble), tol)[2] >= ref_terms
+        assert np.all(np.abs(got - ref) <= est + np.spacing(np.abs(got)))
+        np.testing.assert_allclose(est, ref_est, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("nu", SCAN_NU)
+    def test_matches_per_term_loop_on_scan(self, nu):
+        self._check(nu, SCAN_W)
+        for w in SCAN_W[::25]:
+            self._check(nu, np.array([w]))
+
+    def test_matches_per_term_loop_on_integral_run(self, monkeypatch):
+        calls = []
+        kernel = integralrep._bessel_reg
+        monkeypatch.setattr(integralrep, "_bessel_reg",
+                            lambda nu, w, tol: calls.append((nu, np.array(w))) or kernel(nu, w, tol))
+        integral_rep_errors(0.5, 2, 6, (-0.5, -1.0, -5.0))
+        monkeypatch.undo()
+        assert len(calls) == 21
+        for nu, w in calls:
+            self._check(nu, w)
+
+    @pytest.mark.parametrize("nu", SCAN_NU)
+    def test_error_within_estimate(self, nu):
+        # A_nu(w) = 0F1(; nu + 1; -w) / Gamma(nu + 1); the estimate covers
+        # the series, not the error of Gamma(nu + 1), so the exact value
+        # takes the package's Gamma(nu + 1)
+        mpmath = pytest.importorskip("mpmath")
+        got, est = integralrep._bessel_reg(nu, SCAN_W, 1e-15)
+        with mpmath.workdps(50):
+            gamma = mpmath.mpf(gamma_fn(nu + 1.0))
+            for w, value, bound in zip(SCAN_W, got, est):
+                exact = mpmath.hyp0f1(mpmath.mpf(nu) + 1, -w) / gamma
+                assert abs(mpmath.mpf(value) - exact) <= bound, (w, value, bound)
+
+    def test_blocks_of_arguments(self):
+        # more arguments than one block of the term array: each block is summed on its own
+        w = np.linspace(0.0, 350.0, 2 * integralrep._BLOCK + 7)
+        got, est = integralrep._bessel_reg(1.0, w, 1e-15)
+        for lo in range(0, w.size, integralrep._BLOCK):
+            block = slice(lo, lo + integralrep._BLOCK)
+            ref, ref_est, _ = bessel_series_oracle(1.0, w[block], 1e-15, gamma_fn(2.0))
+            assert np.all(np.abs(got[block] - ref) <= est[block] + np.spacing(np.abs(got[block])))
+            np.testing.assert_allclose(est[block], ref_est, rtol=1e-15, atol=0.0)
+
+    def test_shape_is_kept(self):
+        z = np.linspace(0.5, 7.0, 6)
+        assert np.array_equal(bessel_j(1.3, z.reshape(2, 3)), bessel_j(1.3, z).reshape(2, 3))
 
 
 class TestHyp2F0:
@@ -126,6 +191,32 @@ class TestLaguerreViaBessel:
         cfg = SpecialFnConfig(outer_cutoff=8.0)
         with pytest.raises(CutoffError):
             laguerre_via_bessel(0.0, 6, -1.0, cfg)
+
+
+class TestRouteOracles:
+    """Both integral routes against mpmath, at the routes' own 1e-5."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("n", range(7))
+    def test_laguerre_via_bessel(self, alpha, n):
+        mpmath = pytest.importorskip("mpmath")
+        for x in ROUTE_X:
+            ref = float(mpmath.laguerre(n, alpha, -x, zeroprec=300))
+            assert abs(laguerre_via_bessel(alpha, n, x) - ref) <= 1e-5 * max(abs(ref), 1.0), x
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_sobolev_laguerre_integral_rep(self, alpha, c):
+        mpmath = pytest.importorskip("mpmath")
+        for x in ROUTE_X:
+            with mpmath.workdps(40):
+                # g_k(0) g_k(x) for the orthonormal family of (-x)^alpha e^x on (-inf, 0]
+                terms = [mpmath.laguerre(k, alpha, 0) * mpmath.laguerre(k, alpha, -x, zeroprec=300)
+                         * mpmath.factorial(k) / mpmath.gamma(k + alpha + 1) / (k + c) for k in range(7)]
+            for n in range(7):
+                ref = float(mpmath.fsum(terms[: n + 1]))
+                got = sobolev_laguerre_integral_rep(alpha, c, n, x)
+                assert abs(got - ref) <= 1e-5 * max(abs(ref), 1.0), (n, x)
 
 
 class TestPartialSumRoutes:

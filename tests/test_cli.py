@@ -256,7 +256,6 @@ class TestIntegralcheckCommand:
         assert code == 2
         assert err.startswith("error: x = -1000000.0") and err.count("\n") == 1
 
-
     def test_budget_refusal_marks_the_domain_edge(self, capsys):
         # the Bessel round-off budget is what ends the measured domain of the routes
         code = run(["integralcheck", "--alpha", "0", "--c", "1", "--nmax", "1", "--x=-20"])

@@ -213,8 +213,8 @@ class TestRouteOracles:
                 # g_k(0) g_k(x) for the orthonormal family of (-x)^alpha e^x on (-inf, 0]
                 terms = [mpmath.laguerre(k, alpha, 0) * mpmath.laguerre(k, alpha, -x, zeroprec=300)
                          * mpmath.factorial(k) / mpmath.gamma(k + alpha + 1) / (k + c) for k in range(7)]
-            for n in range(7):
-                ref = float(mpmath.fsum(terms[: n + 1]))
+                sums = [float(mpmath.fsum(terms[: n + 1])) for n in range(7)]
+            for n, ref in enumerate(sums):
                 got = sobolev_laguerre_integral_rep(alpha, c, n, x)
                 assert abs(got - ref) <= 1e-5 * max(abs(ref), 1.0), (n, x)
 

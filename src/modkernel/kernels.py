@@ -20,14 +20,15 @@ import numpy as np
 
 from .pencil import WeightSequence
 from .polycore import (
+    COEFF_DEGREE_CAP,
     Chebyshev1,
     DensePolynomial,
     FamilySpec,
     Jacobi,
     LaguerreNeg,
     RecurrenceCoefficients,
+    coefficient_table,
     derivative_tables,
-    orthonormal_coeffs,
     orthonormal_values,
     recurrence_coefficients,
 )
@@ -143,15 +144,19 @@ def kernel_poly(family: FamilySpec, t: float, n: int, x) -> float:
 
 
 def modified_kernel(spec: ModifiedKernelSpec, n: int) -> DensePolynomial:
-    """u_n = sum_{k<=n} c_k g_k in the monomial coefficient basis."""
+    """u_n = sum_{k<=n} c_k g_k in the monomial coefficient basis.
+
+    The rows of ``coefficient_table`` scaled by c_k and summed in order
+    of degree; capped at ``COEFF_DEGREE_CAP`` like ``orthonormal_coeffs``.
+    """
     if n > spec.n_max:
         raise ValueError(f"n = {n} exceeds the spec range n_max = {spec.n_max}")
     rc, w = spec.resolve()
     w.require(n)
-    acc = DensePolynomial.zero()
-    for k in range(n + 1):
-        acc = acc + w[k] * orthonormal_coeffs(spec.family, rc, k)
-    return acc
+    if n > COEFF_DEGREE_CAP:
+        raise ValueError(f"degree {n} exceeds the coefficient cap {COEFF_DEGREE_CAP}")
+    # cumsum adds the rows in order of degree; a matrix product may reorder the additions
+    return DensePolynomial(np.cumsum(w.c[: n + 1, None] * coefficient_table(rc, n), axis=0)[n])
 
 
 def weighted_tables(rc: RecurrenceCoefficients, c, x, order: int) -> np.ndarray:

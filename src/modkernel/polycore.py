@@ -10,7 +10,9 @@ coefficients against its weight:
 Values and up to four derivatives are produced by running the
 three-term recurrence together with its differentiated forms, which is
 stable far beyond where monomial coefficients stop being trustworthy.
-Monomial coefficient extraction is therefore capped (default degree 40).
+Monomial coefficients of g_0..g_n come from one pass of the same
+recurrence over a coefficient table; their extraction stays capped
+(default degree 40).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "recurrence_coefficients",
     "derivative_tables",
     "orthonormal_values",
+    "coefficient_table",
     "orthonormal_coeffs",
 ]
 
@@ -276,17 +279,31 @@ class Jacobi(_JacobiType):
 
     def recurrence(self, n_max: int) -> RecurrenceCoefficients:
         # closed-form monic coefficients, symmetrized to the orthonormal form
+        # the closed forms over all k at once, each product and sum taken in
+        # the left-to-right order of its formula; in place, as the arrays are short
         alpha, beta = self.alpha, self.beta
         ab = alpha + beta
+        k = np.arange(1.0, n_max + 2.0)
+        s = 2.0 * k
+        s += ab
         b_hat = np.empty(n_max + 1)
         b_hat[0] = (beta - alpha) / (ab + 2.0)
-        for k in range(1, n_max + 1):
-            b_hat[k] = (beta * beta - alpha * alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
+        # (beta^2 - alpha^2) / ((2k + ab) (2k + ab + 2)), k = 1..n_max
+        den = s[:-1] + 2.0
+        den *= s[:-1]
+        np.divide(beta * beta - alpha * alpha, den, out=b_hat[1:])
         sq = np.empty(n_max + 1)
         sq[0] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
-        for k in range(2, n_max + 2):
-            s = 2.0 * k + ab
-            sq[k - 1] = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s + 1.0) * (s - 1.0))
+        # 4k (k + alpha) (k + beta) (k + ab) / (s^2 (s + 1) (s - 1)), s = 2k + ab, k = 2..n_max+1
+        k, s = k[1:], s[1:]
+        num = 4.0 * k
+        num *= k + alpha
+        num *= k + beta
+        num *= k + ab
+        den = s * s
+        den *= s + 1.0
+        den *= s - 1.0
+        np.divide(num, den, out=sq[1:])
         mu0 = 2.0 ** (ab + 1.0) * beta_fn(alpha + 1.0, beta + 1.0)
         return RecurrenceCoefficients(a_hat=np.sqrt(sq), b_hat=b_hat, mu0=mu0)
 
@@ -458,6 +475,34 @@ def orthonormal_values(rc: RecurrenceCoefficients, n: int, x) -> np.ndarray:
     return derivative_tables(rc, n, x, 0)[0]
 
 
+def coefficient_table(rc: RecurrenceCoefficients, n: int) -> np.ndarray:
+    """Ascending monomial coefficients of g_0..g_n, one row per degree.
+
+    Row k of the (n+1, n+1) table holds g_k, zero-padded past degree k.
+    The rows come from one pass of the three-term recurrence,
+
+        a_k g_{k+1} = x g_k - b_k g_k - a_{k-1} g_{k-1},
+
+    each from the two before it.  No degree cap applies here; callers
+    that hand out coefficients enforce ``COEFF_DEGREE_CAP``.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > 0:
+        rc.require(n - 1)
+    table = np.zeros((n + 1, n + 1))
+    table[0, 0] = rc.g0
+    for k in range(n):
+        cur = table[k, : k + 1]
+        nxt = table[k + 1, : k + 2]
+        nxt[1:] = cur
+        nxt[: k + 1] -= rc.b_hat[k] * cur
+        if k >= 1:
+            nxt[:k] -= rc.a_hat[k - 1] * table[k - 1, :k]
+        nxt /= rc.a_hat[k]
+    return table
+
+
 def orthonormal_coeffs(
     family: FamilySpec,
     rc: RecurrenceCoefficients,
@@ -466,23 +511,10 @@ def orthonormal_coeffs(
 ) -> DensePolynomial:
     """Monomial coefficients of g_n, positive leading coefficient.
 
-    Raises beyond ``max_degree``: the monomial basis is too
-    ill-conditioned there for the coefficients to mean much.
+    Row n of ``coefficient_table``.  Raises beyond ``max_degree``: the
+    monomial basis is too ill-conditioned there for the coefficients to
+    mean much.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     if n > max_degree:
         raise ValueError(f"degree {n} exceeds the coefficient cap {max_degree}")
-    if n > 0:
-        rc.require(n - 1)
-    prev = np.zeros(1)
-    cur = np.array([rc.g0])
-    for k in range(n):
-        nxt = np.zeros(k + 2)
-        nxt[1:] = cur
-        nxt[: k + 1] -= rc.b_hat[k] * cur
-        if k >= 1:
-            nxt[:k] -= rc.a_hat[k - 1] * prev
-        nxt /= rc.a_hat[k]
-        prev, cur = cur, nxt
-    return DensePolynomial(cur)
+    return DensePolynomial(coefficient_table(rc, n)[n])

@@ -138,8 +138,11 @@ def sobolev_inner(
 def gram_matrix(wgt: MatrixWeight, polys, rule: QuadratureRule) -> np.ndarray:
     """Symmetric matrix of pairwise inner products.
 
-    Operator images are evaluated once per polynomial; entries agree
-    with ``sobolev_inner`` call by call.
+    The coefficients of all polynomials, zero-padded to the top degree,
+    and of their first two derivatives go through one extended-precision
+    Horner pass at the rule nodes.  Leading zeros leave Horner's sums
+    untouched, so every operator image equals ``operator_image`` of its
+    polynomial, and the entries agree with ``sobolev_inner`` call by call.
     """
     polys = list(polys)
     if not polys:
@@ -147,7 +150,18 @@ def gram_matrix(wgt: MatrixWeight, polys, rule: QuadratureRule) -> np.ndarray:
     top = max(polys, key=lambda p: p.degree)
     _require_degree(rule, top, top)
     fac = _edge_factor(wgt, rule.nodes)
-    rows = np.array([wgt.operator_image(p, rule.nodes) for p in polys])
+    size = max(p.coeffs.size for p in polys)
+    coeffs = np.zeros((3, len(polys), size))
+    for row, p in zip(coeffs[0], polys):
+        row[: p.coeffs.size] = p.coeffs
+    # f' and f'' as DensePolynomial.derivative forms them, one order at a time
+    coeffs[1, :, :-1] = coeffs[0, :, 1:] * np.arange(1, size)
+    coeffs[2, :, :-1] = coeffs[1, :, 1:] * np.arange(1, size)
+    x = rule.nodes.astype(np.longdouble)
+    acc = np.zeros(coeffs.shape[:2] + x.shape, dtype=np.longdouble)
+    for j in range(size - 1, -1, -1):
+        acc = acc * x + coeffs[:, :, j, None]
+    rows = wgt.table_image(acc.astype(float), rule.nodes)
     return (rows * (rule.weights * fac)) @ rows.T
 
 

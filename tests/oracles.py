@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own evaluation paths:
 classical values come from terminating hypergeometric sums or
 trigonometric closed forms with stdlib gamma functions, recurrence
 coefficients from Gram-Schmidt on moment matrices, and derivatives from
-finite differences.
+finite differences.  The exceptions are earlier, slower forms of package
+routines, kept as the references their faster forms must reproduce.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from modkernel.polycore import DensePolynomial
 
 
 def jacobi_poly_value(alpha: float, beta: float, n: int, x: float) -> float:
@@ -71,6 +74,25 @@ def chebyshev_orthonormal_value(n: int, x: float) -> float:
     else:
         t = (-1.0) ** n * math.cosh(n * math.acosh(-x))
     return math.sqrt(2.0 / math.pi) * t
+
+
+def jacobi_recurrence_scalar(alpha: float, beta: float, n_max: int):
+    """Jacobi a_hat and b_hat from the closed forms, one index at a time.
+
+    The scalar loops ``Jacobi.recurrence`` ran before it evaluated the
+    same formulas as array expressions; returns (a_hat, b_hat).
+    """
+    ab = alpha + beta
+    b_hat = np.empty(n_max + 1)
+    b_hat[0] = (beta - alpha) / (ab + 2.0)
+    for k in range(1, n_max + 1):
+        b_hat[k] = (beta * beta - alpha * alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
+    sq = np.empty(n_max + 1)
+    sq[0] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
+    for k in range(2, n_max + 2):
+        s = 2.0 * k + ab
+        sq[k - 1] = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s + 1.0) * (s - 1.0))
+    return np.sqrt(sq), b_hat
 
 
 def jacobi_moments_lowdeg(alpha: float, beta: float, k_max: int) -> np.ndarray:
@@ -259,6 +281,51 @@ def bessel_series_oracle(nu: float, w, series_tol: float, gamma_nu1: float):
     total = total.astype(float)
     est = peak.astype(float) * (float(np.finfo(ld).eps) * 4.0 * math.sqrt(m + 1.0)) + np.spacing(np.abs(total))
     return total, est, m
+
+
+def orthonormal_coeffs_loop(rc, n: int) -> list:
+    """Coefficient arrays of g_0..g_n, one recurrence step per degree.
+
+    The loop ``orthonormal_coeffs`` ran for each degree before the
+    coefficients came from one table: each g_(k+1) a fresh array built
+    from g_k and g_(k-1).
+    """
+    prev = np.zeros(1)
+    cur = np.array([rc.g0])
+    out = [cur]
+    for k in range(n):
+        nxt = np.zeros(k + 2)
+        nxt[1:] = cur
+        nxt[: k + 1] -= rc.b_hat[k] * cur
+        if k >= 1:
+            nxt[:k] -= rc.a_hat[k - 1] * prev
+        nxt /= rc.a_hat[k]
+        prev, cur = cur, nxt
+        out.append(cur)
+    return out
+
+
+def modified_kernel_accumulation(rc, c, n: int):
+    """u_n = sum c_k g_k as a running sum of polynomials, degree by degree.
+
+    The accumulation ``modified_kernel`` ran before it summed the rows of
+    one coefficient table; returns a ``DensePolynomial``.
+    """
+    acc = DensePolynomial.zero()
+    for k, g in enumerate(orthonormal_coeffs_loop(rc, n)):
+        acc = acc + float(c[k]) * DensePolynomial(g)
+    return acc
+
+
+def gram_by_operator_images(wgt, polys, rule) -> np.ndarray:
+    """Gram matrix from one ``operator_image`` per polynomial.
+
+    The rows ``gram_matrix`` evaluated one polynomial at a time before it
+    ran one stacked Horner pass; the nodes lie inside the support, where
+    the (t0 - x) factor is nonnegative.
+    """
+    rows = np.array([wgt.operator_image(p, rule.nodes) for p in polys])
+    return (rows * (rule.weights * (wgt.t0 - rule.nodes))) @ rows.T
 
 
 def fd1(f, x: float, h: float = 1e-6) -> float:

@@ -20,6 +20,7 @@ from modkernel.kernels import (
     quadratic_discriminant,
     second_kind_eval,
     second_kind_values,
+    sobolev_poly,
     weighted_tables,
 )
 from modkernel.polycore import (
@@ -32,7 +33,7 @@ from modkernel.polycore import (
 )
 from modkernel.quadrature import gauss_rule, integrate
 
-from oracles import laguerre_poly_value
+from oracles import laguerre_poly_value, modified_kernel_accumulation
 
 
 class TestKernelPoly:
@@ -332,3 +333,59 @@ class TestDiscriminant:
                 found = (c, d)
                 break
         assert found is not None
+
+
+def _oracle_cases(seed: int = 20261019) -> list:
+    """Seeded (family, c, t0): parameters in (-1, 5), c in [0.1, 10], t0 at or beyond the edge."""
+    rng = np.random.default_rng(seed)
+    families = [Jacobi(*map(float, rng.uniform(-0.99, 5.0, 2))) for _ in range(2)]
+    families += [LaguerreNeg(float(rng.uniform(-0.99, 5.0))) for _ in range(2)] + [Chebyshev1(), Chebyshev1()]
+    cases = []
+    for i, fam in enumerate(families):
+        c = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
+        # one of each kind at the edge, the other beyond it
+        t0 = fam.edge + (0.0 if i % 2 else float(rng.uniform(0.0, 2.0)))
+        cases.append((fam, c, t0))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+class TestMonomialRouteOracle:
+    @pytest.mark.parametrize("family,c,t0", ORACLE_CASES)
+    def test_sobolev_poly_equals_the_running_sum(self, family, c, t0):
+        for n in range(41):
+            rc, w = ModifiedKernelSpec(family, EigScaledKernel(c, t0), n).resolve()
+            ref = modified_kernel_accumulation(rc, w.c, n)
+            assert np.array_equal(sobolev_poly(family, c, t0, n).coeffs, ref.coeffs)
+
+    @pytest.mark.parametrize("family,c,t0", ORACLE_CASES)
+    def test_plain_and_explicit_weights(self, family, c, t0):
+        from modkernel.pencil import WeightSequence
+
+        weights = np.random.default_rng(7).uniform(0.1, 10.0, 43)
+        for rule in (PlainKernel(t0), WeightSequence(weights)):
+            spec = ModifiedKernelSpec(family, rule, 40)
+            rc, w = spec.resolve()
+            for n in (0, 1, 2, 9, 25, 40):
+                assert np.array_equal(modified_kernel(spec, n).coeffs, modified_kernel_accumulation(rc, w.c, n).coeffs)
+
+
+class TestCoefficientCap:
+    CALLS = {
+        "modified_kernel": lambda n: modified_kernel(ModifiedKernelSpec(Chebyshev1(), PlainKernel(1.0), n), n),
+        "sobolev_poly": lambda n: sobolev_poly(Jacobi(1.5, 0.5), 2.0, 1.2, n),
+        "jacobi_sobolev_poly": lambda n: jacobi_sobolev_poly(0.5, -0.3, 1.0, 1.5, n),
+        "laguerre_sobolev_poly": lambda n: laguerre_sobolev_poly(0.5, 1.0, 0.0, n),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_degree_41_refused(self, name):
+        with pytest.raises(ValueError, match="degree 41 exceeds the coefficient cap 40"):
+            self.CALLS[name](41)
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_degree_40_built(self, name):
+        p = self.CALLS[name](40)
+        assert p.degree == 40 and p.coeffs[-1] > 0.0

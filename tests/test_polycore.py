@@ -8,6 +8,7 @@ from modkernel.polycore import (
     DensePolynomial,
     Jacobi,
     LaguerreNeg,
+    coefficient_table,
     derivative_tables,
     orthonormal_coeffs,
     orthonormal_values,
@@ -23,8 +24,10 @@ from oracles import (
     fd2,
     jacobi_moments_lowdeg,
     jacobi_orthonormal_value,
+    jacobi_recurrence_scalar,
     laguerre_neg_moments,
     laguerre_orthonormal_reflected,
+    orthonormal_coeffs_loop,
     recurrence_from_moments,
 )
 
@@ -322,8 +325,9 @@ class TestCoefficients:
     def test_degree_cap(self):
         fam = Chebyshev1()
         rc = recurrence_coefficients(fam, 45)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="degree 41 exceeds the coefficient cap 40"):
             orthonormal_coeffs(fam, rc, 41)
+        assert orthonormal_coeffs(fam, rc, 40).degree == 40
         # explicit override allows more
         assert orthonormal_coeffs(fam, rc, 41, max_degree=45).degree == 41
 
@@ -346,3 +350,46 @@ class TestCoefficients:
             floor = eps * np.polyval(np.abs(p.coeffs[::-1]), np.abs(xs))
             tol = 1e-8 * np.maximum(1.0, np.abs(ref)) + floor
             assert np.all(np.abs(got - ref) <= tol)
+
+
+# seeded draws over the documented parameter domains, for the bit-identity oracles
+_draw = np.random.default_rng(20261018)
+ORACLE_FAMILIES = (
+    [Jacobi(float(a), float(b)) for a, b in _draw.uniform(-0.99, 5.0, (3, 2))]
+    + [LaguerreNeg(float(a)) for a in _draw.uniform(-0.99, 5.0, 3)]
+    + [Chebyshev1(), Jacobi(0, 0)]
+)
+
+
+class TestCoefficientTable:
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    def test_rows_equal_the_per_degree_loop(self, family):
+        rc = recurrence_coefficients(family, 41)
+        table = coefficient_table(rc, 40)
+        assert table.shape == (41, 41)
+        for k, g in enumerate(orthonormal_coeffs_loop(rc, 40)):
+            assert np.array_equal(table[k, : k + 1], g)
+            assert not table[k, k + 1 :].any()
+            assert np.array_equal(orthonormal_coeffs(family, rc, k).coeffs, DensePolynomial(g).coeffs)
+
+    def test_range_checks(self):
+        rc = recurrence_coefficients(Chebyshev1(), 5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            coefficient_table(rc, -1)
+        with pytest.raises(ValueError, match="outside the computed range"):
+            coefficient_table(rc, 7)
+        # no cap of its own: the callers that hand out coefficients hold it
+        assert coefficient_table(recurrence_coefficients(Chebyshev1(), 45), 45)[45, 45] > 0.0
+
+
+class TestJacobiRecurrence:
+    def test_equals_the_scalar_formulas(self):
+        rng = np.random.default_rng(3)
+        cases = [(0, 0, 0), (0, 0, 1), (-0.5, -0.5, 40), (0.5, -0.3, 250), (2, 3, 17)]
+        cases += [(float(a), float(b), int(n)) for a, b, n in zip(
+            rng.uniform(-0.999, 40.0, 120), rng.uniform(-0.999, 40.0, 120), rng.integers(0, 700, 120)
+        )]
+        for alpha, beta, n_max in cases:
+            rc = Jacobi(alpha, beta).recurrence(n_max)
+            a_hat, b_hat = jacobi_recurrence_scalar(alpha, beta, n_max)
+            assert np.array_equal(rc.a_hat, a_hat) and np.array_equal(rc.b_hat, b_hat)

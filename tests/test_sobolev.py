@@ -24,6 +24,8 @@ from modkernel.sobolev import (
     sobolev_inner,
 )
 
+from oracles import gram_by_operator_images
+
 
 class TestMatrixWeight:
     def test_jacobi_column_values(self):
@@ -212,3 +214,53 @@ class TestGramCertification:
         polys = [jacobi_sobolev_poly(0.0, 0.0, 1.0, 1.0, n) for n in range(6)]
         with pytest.raises(ValueError):
             gram_matrix(wgt, polys, rule)
+
+
+class TestStackedGramOracle:
+    """``gram_matrix`` against one ``operator_image`` per polynomial, bit for bit."""
+
+    CASES = [
+        (Jacobi(0.5, -0.3), 1.0, 1.5),
+        (Jacobi(2.7, 0.2), 0.13, 1.0),
+        (LaguerreNeg(0.5), 1.0, 0.0),
+        (LaguerreNeg(3.1), 6.2, 0.8),
+        (Chebyshev1(), 1.0, 1.0),
+        (Chebyshev1(), 0.4, 2.3),
+    ]
+
+    @pytest.mark.parametrize("family,c,t0", CASES)
+    def test_equals_per_polynomial_rows(self, family, c, t0):
+        wgt = matrix_weight(family, c, t0)
+        polys = [sobolev_poly(family, c, t0, n) for n in range(41)]
+        for n_max in (0, 1, 5, 12, 30, 40):
+            rule = family_rule(wgt.family, n_max + 2)
+            got = gram_matrix(wgt, polys[: n_max + 1], rule)
+            assert np.array_equal(got, gram_by_operator_images(wgt, polys[: n_max + 1], rule))
+
+    @pytest.mark.parametrize("family,c,t0", CASES)
+    def test_mixed_unsorted_degrees_and_zero(self, family, c, t0):
+        rng = np.random.default_rng(11)
+        wgt = matrix_weight(family, c, t0)
+        polys = [DensePolynomial(rng.standard_normal(int(d) + 1)) for d in rng.integers(0, 14, 9)]
+        polys += [DensePolynomial.zero(), sobolev_poly(family, c, t0, 13), DensePolynomial.constant(-2.5)]
+        polys = [polys[i] for i in rng.permutation(len(polys))]
+        rule = family_rule(wgt.family, 14)
+        got = gram_matrix(wgt, iter(polys), rule)
+        assert np.array_equal(got, gram_by_operator_images(wgt, polys, rule))
+
+    def test_zero_polynomials_only(self):
+        wgt = laguerre_matrix_weight(0.0, 1.0, 0.0)
+        got = gram_matrix(wgt, [DensePolynomial.zero()] * 2, family_rule(LaguerreNeg(0.0), 1))
+        assert got.shape == (2, 2) and not got.any()
+
+    def test_empty_list(self):
+        wgt = jacobi_matrix_weight(0.5, -0.3, 1.0, 1.5)
+        assert gram_matrix(wgt, [], family_rule(wgt.family, 3)).shape == (0, 0)
+
+    def test_rule_degree_refusal(self):
+        # a top degree D needs exactness 2 D + 1, so D + 1 points and no fewer
+        wgt = jacobi_matrix_weight(0.5, -0.3, 1.0, 1.5)
+        polys = [jacobi_sobolev_poly(0.5, -0.3, 1.0, 1.5, n) for n in (3, 7, 0)]
+        with pytest.raises(ValueError, match=r"^rule is exact to degree 13, but the integrand has degree 15$"):
+            gram_matrix(wgt, polys, family_rule(wgt.family, 7))
+        assert gram_matrix(wgt, polys, family_rule(wgt.family, 8)).shape == (3, 3)

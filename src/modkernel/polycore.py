@@ -278,9 +278,9 @@ class Jacobi(_JacobiType):
             raise ValueError(f"Jacobi parameters must exceed -1, got ({self.alpha}, {self.beta})")
 
     def recurrence(self, n_max: int) -> RecurrenceCoefficients:
-        # closed-form monic coefficients, symmetrized to the orthonormal form
-        # the closed forms over all k at once, each product and sum taken in
-        # the left-to-right order of its formula; in place, as the arrays are short
+        # closed-form monic coefficients, symmetrized to the orthonormal form,
+        # over all k at once: each product and sum in the left-to-right order
+        # of its formula, in place to keep the fixed cost of short arrays down
         alpha, beta = self.alpha, self.beta
         ab = alpha + beta
         k = np.arange(1.0, n_max + 2.0)

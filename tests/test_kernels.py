@@ -150,6 +150,8 @@ class TestModifiedKernel:
         spec = ModifiedKernelSpec(Chebyshev1(), PlainKernel(1.0), 4)
         with pytest.raises(ValueError):
             modified_kernel(spec, 5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            modified_kernel(spec, -1)
 
 
 class TestWeightRules:

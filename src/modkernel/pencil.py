@@ -282,12 +282,13 @@ def path_equivalence_residual(rc: RecurrenceCoefficients, w: WeightSequence, n: 
     """Max relative interior mismatch between the two construction paths.
 
     Interior means rows and columns up to n - 3; the comparison is
-    band-wise, normalized per entry by max(1, |formula entry|).
+    band-wise, normalized per entry by max(1, |formula entry|).  A NaN
+    in either path reads NaN.
     """
     t_mat, p_mat = build_pencil_matrices(rc, w, n)
     pen = build_pencil_formulas(rc, w, n - 3)
     t_ref, p_ref = pencil_to_banded(pen, n - 2)
-    worst = 0.0
+    band_worst = [0.0]
     interior = n - 2  # rows 0..n-3
     for ref, got in ((t_ref, t_mat), (p_ref, p_mat)):
         offsets = set(ref.bands) | set(got.bands)
@@ -298,8 +299,8 @@ def path_equivalence_residual(rc: RecurrenceCoefficients, w: WeightSequence, n: 
             if m <= 0:
                 continue
             diff = np.abs(vg[:m] - vr[:m]) / np.maximum(1.0, np.abs(vr[:m]))
-            worst = max(worst, float(diff.max()))
-    return worst
+            band_worst.append(diff.max())
+    return float(np.max(band_worst))
 
 
 def associated_polynomials(p: JacobiTypePencil, n: int) -> list[DensePolynomial]:
@@ -330,7 +331,9 @@ def associated_values(p: JacobiTypePencil, lambdas, n: int) -> np.ndarray:
     """Values p_k(lambda) for k = 0..n over an array of sample points.
 
     Runs the five-term relation pointwise, which avoids the monomial
-    basis entirely; returns shape (n+1, len(lambdas)).
+    basis entirely; returns shape (n+1, len(lambdas)).  The coefficients
+    alpha_k - lambda b_k and beta_k - lambda a_k are formed for every row
+    before the sweep, which then does only the recurrence.
     """
     lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if n >= 2 and p.n_max < n - 2:
@@ -339,13 +342,18 @@ def associated_values(p: JacobiTypePencil, lambdas, n: int) -> np.ndarray:
     out[0] = 1.0
     if n >= 1:
         out[1] = p.alpha_tilde * lam + p.beta_tilde
-    for k in range(0, n - 1):
-        s = (p.alpha_band[k] - lam * p.b[k]) * out[k] + (p.beta_band[k] - lam * p.a[k]) * out[k + 1]
+    rows = max(n - 1, 0)
+    diag = p.alpha_band[:rows, None] - lam * p.b[:rows, None]
+    off = p.beta_band[:rows, None] - lam * p.a[:rows, None]
+    gamma = p.gamma_band[:rows].tolist()
+    for k in range(rows):
+        s = diag[k] * out[k]
+        s += off[k] * out[k + 1]
         if k >= 1:
-            s += (p.beta_band[k - 1] - lam * p.a[k - 1]) * out[k - 1]
+            s += off[k - 1] * out[k - 1]
         if k >= 2:
-            s += p.gamma_band[k - 2] * out[k - 2]
-        out[k + 2] = -s / p.gamma_band[k]
+            s += gamma[k - 2] * out[k - 2]
+        out[k + 2] = -s / gamma[k]
     return out
 
 
@@ -353,34 +361,42 @@ def five_term_residual(p: JacobiTypePencil, polys, lambdas, scaled: bool = False
     """Max absolute row residual of the pencil relation over sample points.
 
     ``polys`` is a sequence of callables indexed 0..N (or an ndarray of
-    precomputed values, one row per index); rows 0..N-2 are evaluated.
-    With ``scaled=True`` the result is divided by the largest term
-    magnitude that appeared, giving a dimensionless figure.
+    precomputed values, one row per index); rows 0..N-2 are evaluated,
+    all in one array pass.  With ``scaled=True`` the result is divided by
+    the largest term magnitude that appeared, giving a dimensionless
+    figure.  A NaN anywhere in the values or bands reads NaN.
     """
     lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
     n_top = len(polys) - 1
     if n_top < 2:
         raise ValueError("need polynomials up to index 2 to form a residual row")
+    if p.n_max < n_top - 2:
+        raise ValueError(f"pencil bands cover rows 0..{p.n_max}, need 0..{n_top - 2}")
     if isinstance(polys, np.ndarray):
         vals = np.asarray(polys, dtype=float)
+        if vals.ndim == 1:
+            vals = vals[:, None]
     else:
         vals = np.array([np.broadcast_to(np.asarray(q(lam), dtype=float), lam.shape) for q in polys])
-    worst = 0.0
-    scale = 0.0
-    for k in range(0, n_top - 1):
-        terms = [
-            (p.alpha_band[k] - lam * p.b[k]) * vals[k],
-            (p.beta_band[k] - lam * p.a[k]) * vals[k + 1],
-            p.gamma_band[k] * vals[k + 2],
-        ]
-        if k >= 1:
-            terms.append((p.beta_band[k - 1] - lam * p.a[k - 1]) * vals[k - 1])
-        if k >= 2:
-            terms.append(p.gamma_band[k - 2] * vals[k - 2])
-        row = np.sum(terms, axis=0)
-        worst = max(worst, float(np.abs(row).max()))
-        scale = max(scale, float(np.max(np.abs(terms))))
+    rows = n_top - 1
+    inner = max(rows - 2, 0)
+    diag = p.alpha_band[:rows, None] - lam * p.b[:rows, None]
+    off = p.beta_band[:rows, None] - lam * p.a[:rows, None]
+    terms = (
+        diag * vals[:rows],
+        off * vals[1 : rows + 1],
+        p.gamma_band[:rows, None] * vals[2 : rows + 2],
+        off[: rows - 1] * vals[: rows - 1],
+        p.gamma_band[:inner, None] * vals[:inner],
+    )
+    # the terms of row k are added in the order the row lists them
+    row = terms[0] + terms[1]
+    row += terms[2]
+    row[1:] += terms[3]
+    row[2:] += terms[4]
+    worst = float(np.abs(row).max())
     if scaled:
+        scale = float(np.max([np.abs(t).max(initial=0.0) for t in terms]))
         return worst / max(scale, 1.0)
     return worst
 

@@ -334,3 +334,63 @@ def fd1(f, x: float, h: float = 1e-6) -> float:
 
 def fd2(f, x: float, h: float = 1e-4) -> float:
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+
+
+def associated_values_loop(p, lambdas, n: int) -> np.ndarray:
+    """p_0..p_n at the sample points, band coefficients formed inside the sweep.
+
+    The sweep ``associated_values`` ran before it formed the coefficients
+    alpha_k - lambda b_k and beta_k - lambda a_k as arrays ahead of the
+    loop: every row rebuilds the two or three it needs.
+    """
+    lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    if n >= 2 and p.n_max < n - 2:
+        raise ValueError(f"pencil bands cover rows 0..{p.n_max}, need 0..{n - 2}")
+    out = np.zeros((n + 1, lam.size))
+    out[0] = 1.0
+    if n >= 1:
+        out[1] = p.alpha_tilde * lam + p.beta_tilde
+    for k in range(0, n - 1):
+        s = (p.alpha_band[k] - lam * p.b[k]) * out[k] + (p.beta_band[k] - lam * p.a[k]) * out[k + 1]
+        if k >= 1:
+            s += (p.beta_band[k - 1] - lam * p.a[k - 1]) * out[k - 1]
+        if k >= 2:
+            s += p.gamma_band[k - 2] * out[k - 2]
+        out[k + 2] = -s / p.gamma_band[k]
+    return out
+
+
+def five_term_residual_loop(p, polys, lambdas, scaled: bool = False) -> float:
+    """The pencil relation's row residual, one row at a time.
+
+    The loop ``five_term_residual`` ran before it formed every row in
+    one array pass: each row stacks its three to five terms, sums them
+    with ``np.sum`` and folds the row maximum and the largest term into
+    Python ``max``, which passes over NaN.
+    """
+    lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    n_top = len(polys) - 1
+    if n_top < 2:
+        raise ValueError("need polynomials up to index 2 to form a residual row")
+    if isinstance(polys, np.ndarray):
+        vals = np.asarray(polys, dtype=float)
+    else:
+        vals = np.array([np.broadcast_to(np.asarray(q(lam), dtype=float), lam.shape) for q in polys])
+    worst = 0.0
+    scale = 0.0
+    for k in range(0, n_top - 1):
+        terms = [
+            (p.alpha_band[k] - lam * p.b[k]) * vals[k],
+            (p.beta_band[k] - lam * p.a[k]) * vals[k + 1],
+            p.gamma_band[k] * vals[k + 2],
+        ]
+        if k >= 1:
+            terms.append((p.beta_band[k - 1] - lam * p.a[k - 1]) * vals[k - 1])
+        if k >= 2:
+            terms.append(p.gamma_band[k - 2] * vals[k - 2])
+        row = np.sum(terms, axis=0)
+        worst = max(worst, float(np.abs(row).max()))
+        scale = max(scale, float(np.max(np.abs(terms))))
+    if scaled:
+        return worst / max(scale, 1.0)
+    return worst

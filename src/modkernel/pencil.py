@@ -15,6 +15,12 @@ Row n of the pencil relation reads
 
 with p_{-2} = p_{-1} = 0 and gamma_{-2} = gamma_{-1} = a_{-1} =
 beta_{-1} = 0, started from p_0 = 1, p_1 = alpha_tilde*lambda + beta_tilde.
+
+``associated_values`` solves each row for p_{n+2} in turn; the
+coefficients alpha_n - lambda b_n and beta_n - lambda a_n are formed for
+all rows before that sweep.  ``five_term_residual`` forms the terms of
+every row in one array pass and adds them in the order the row lists
+them, so its reading equals a row-by-row sum bit for bit.
 """
 
 from __future__ import annotations
@@ -374,8 +380,8 @@ def five_term_residual(p: JacobiTypePencil, polys, lambdas, scaled: bool = False
         raise ValueError(f"pencil bands cover rows 0..{p.n_max}, need 0..{n_top - 2}")
     if isinstance(polys, np.ndarray):
         vals = np.asarray(polys, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
+        if vals.ndim != 2:
+            raise ValueError("precomputed values need one row per index and one column per sample point")
     else:
         vals = np.array([np.broadcast_to(np.asarray(q(lam), dtype=float), lam.shape) for q in polys])
     rows = n_top - 1

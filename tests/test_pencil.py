@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from modkernel.kernels import EigScaledKernel, PlainKernel, SecondKind, generate_weights
 from modkernel.pencil import (
     BandedMatrix,
     WeightSequence,
@@ -15,7 +17,16 @@ from modkernel.pencil import (
     pencil_to_banded,
     weighted_sum_residual,
 )
-from modkernel.polycore import Chebyshev1, Jacobi, LaguerreNeg, orthonormal_values, recurrence_coefficients
+from modkernel.polycore import (
+    Chebyshev1,
+    DensePolynomial,
+    Jacobi,
+    LaguerreNeg,
+    RecurrenceCoefficients,
+    orthonormal_values,
+    recurrence_coefficients,
+)
+from oracles import associated_values_loop, five_term_residual_loop
 
 
 def cheb_rc(n):
@@ -222,3 +233,161 @@ def test_weighted_sum_residual_detects_perturbation():
     assert weighted_sum_residual(rc, w, vals, xs) <= 1e-12
     vals[4] *= 1.0 + 1e-6
     assert weighted_sum_residual(rc, w, vals, xs) > 1e-7
+
+
+ORACLE_FAMILIES = {"jacobi": Jacobi(0.5, -0.3), "chebyshev": Chebyshev1(), "laguerre": LaguerreNeg(0.5)}
+ORACLE_SOURCES = ("ones", "random", "kernel", "eigkernel", "secondkind")
+
+
+def edge_pencil(family, source: str, n: int):
+    """Pencil for rows 0..n + 1 from one of the five weight sources, kernels at the support edge."""
+    rc = recurrence_coefficients(family, n + 3)
+    if source == "ones":
+        w = WeightSequence(np.ones(n + 4))
+    elif source == "random":
+        w = WeightSequence(0.5 + np.random.default_rng(17).random(n + 4))
+    else:
+        rule = {
+            "kernel": PlainKernel(t0=family.edge),
+            "eigkernel": EigScaledKernel(c=2.0, t0=family.edge),
+            "secondkind": SecondKind(t0=family.edge + 0.5),
+        }[source]
+        w = generate_weights(family, rc, rule, n + 3)
+    return build_pencil_formulas(rc, w, n + 1)
+
+
+class TestOneStepOracles:
+    """The array forms reproduce the per-row loops of ``tests/oracles.py`` bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 64, 200])
+    @pytest.mark.parametrize("source", ORACLE_SOURCES)
+    @pytest.mark.parametrize("fam", sorted(ORACLE_FAMILIES))
+    def test_sweep_and_residual_match_loops(self, fam, source, n):
+        family = ORACLE_FAMILIES[fam]
+        pen = edge_pencil(family, source, n)
+        # the list form at n = 200 costs about 0.5 s a case; one case below covers it
+        polys = associated_polynomials(pen, n) if n <= 64 else None
+        for count in (1, 21):
+            lams = family.sample_points(count, 12.0)
+            vals = associated_values(pen, lams, n)
+            assert np.array_equal(vals, associated_values_loop(pen, lams, n))
+            if n < 2:
+                continue
+            bumped = vals * (1.0 + 1e-9 * np.random.default_rng(n).standard_normal(vals.shape))
+            for scaled in (False, True):
+                for given in (vals, bumped):
+                    assert five_term_residual(pen, given, lams, scaled) == five_term_residual_loop(pen, given, lams, scaled)
+                if polys is not None:
+                    assert five_term_residual(pen, polys, lams, scaled) == five_term_residual_loop(pen, polys, lams, scaled)
+
+    def test_scalar_sample_point(self):
+        pen = edge_pencil(ORACLE_FAMILIES["jacobi"], "kernel", 12)
+        vals = associated_values(pen, 0.25, 12)
+        assert np.array_equal(vals, associated_values_loop(pen, 0.25, 12))
+        for scaled in (False, True):
+            assert five_term_residual(pen, vals, 0.25, scaled) == five_term_residual_loop(pen, vals, 0.25, scaled)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_any_term_may_set_the_scale(self, seed):
+        # random bands over six orders of magnitude and one large value per
+        # index, so each of the five terms of a row is at times the largest
+        rng = np.random.default_rng(seed)
+        size = 12
+
+        def spread():
+            return 10.0 ** rng.uniform(-3.0, 3.0, size)
+
+        pen = dataclasses.replace(
+            build_pencil_formulas(cheb_rc(size + 1), WeightSequence(np.ones(size + 2)), size - 1),
+            a=spread(), b=rng.standard_normal(size) * spread(), alpha_band=rng.standard_normal(size) * spread(),
+            beta_band=rng.standard_normal(size) * spread(), gamma_band=spread(),
+        )
+        lams = np.array([0.0, 0.5])
+        for j in range(size + 1):
+            vals = rng.standard_normal((size + 1, 2))
+            vals[j] *= 1e4
+            for scaled in (False, True):
+                assert five_term_residual(pen, vals, lams, scaled) == five_term_residual_loop(pen, vals, lams, scaled)
+
+    def test_polynomial_list_at_degree_200(self):
+        pen = edge_pencil(ORACLE_FAMILIES["chebyshev"], "random", 200)
+        polys = associated_polynomials(pen, 200)
+        lams = np.linspace(-1.0, 1.0, 21)
+        for scaled in (False, True):
+            assert five_term_residual(pen, polys, lams, scaled) == five_term_residual_loop(pen, polys, lams, scaled)
+
+
+class TestPencilErrors:
+    def test_residual_needs_index_two(self):
+        pen = edge_pencil(Chebyshev1(), "ones", 4)
+        for form in (associated_values(pen, [0.0], 1), associated_polynomials(pen, 1)):
+            with pytest.raises(ValueError, match=r"^need polynomials up to index 2 to form a residual row$"):
+                five_term_residual(pen, form, [0.0])
+
+    def test_values_need_rows_and_columns(self):
+        pen = edge_pencil(Chebyshev1(), "ones", 4)
+        vals = associated_values(pen, [0.25], 4)
+        with pytest.raises(ValueError, match=r"^precomputed values need one row per index"):
+            five_term_residual(pen, vals[:, 0], 0.25)
+
+    def test_sweep_names_missing_rows(self):
+        pen = edge_pencil(Chebyshev1(), "ones", 4)  # bands cover rows 0..5
+        assert associated_values(pen, [0.0], 7).shape == (8, 1)
+        with pytest.raises(ValueError, match=r"^pencil bands cover rows 0\.\.5, need 0\.\.6$"):
+            associated_values(pen, [0.0], 8)
+
+    def test_residual_names_missing_rows(self):
+        pen = edge_pencil(Chebyshev1(), "ones", 4)
+        short = dataclasses.replace(pen, a=pen.a[:3], b=pen.b[:3], alpha_band=pen.alpha_band[:3],
+                                    beta_band=pen.beta_band[:3], gamma_band=pen.gamma_band[:3])
+        vals = associated_values(pen, [0.0, 0.5], 6)
+        assert five_term_residual(short, vals[:5], [0.0, 0.5]) >= 0.0
+        with pytest.raises(ValueError, match=r"^pencil bands cover rows 0\.\.2, need 0\.\.4$"):
+            five_term_residual(short, vals, [0.0, 0.5])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteReadings:
+    """A NaN or inf in the values or bands must never read as a pass."""
+
+    TOL = 1e-10
+
+    @pytest.fixture
+    def solved(self):
+        pen = edge_pencil(Jacobi(0.5, -0.3), "kernel", 20)
+        lams = np.linspace(-1.0, 1.0, 21)
+        return pen, lams, associated_values(pen, lams, 20)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["one", "all", "last"])
+    def test_values(self, solved, bad, where):
+        pen, lams, vals = solved
+        vals = vals.copy()
+        if where == "one":
+            vals[7, 3] = bad
+        elif where == "all":
+            vals[:] = bad
+        else:
+            vals[-1, -1] = bad
+        for scaled in (False, True):
+            assert not five_term_residual(pen, vals, lams, scaled) <= self.TOL
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("band", ["b", "alpha_band", "beta_band"])
+    def test_bands(self, solved, bad, band):
+        pen, lams, vals = solved
+        broken = getattr(pen, band).copy()
+        broken[5] = bad
+        pen = dataclasses.replace(pen, **{band: broken})
+        for scaled in (False, True):
+            assert not five_term_residual(pen, vals, lams, scaled) <= self.TOL
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_construction_paths(self, bad):
+        rc = recurrence_coefficients(Jacobi(0.5, -0.3), 20)
+        w = WeightSequence(0.5 + np.random.default_rng(4).random(20))
+        assert path_equivalence_residual(rc, w, 20) <= 1e-12
+        b_hat = rc.b_hat.copy()
+        b_hat[6] = bad
+        broken = RecurrenceCoefficients(rc.a_hat, b_hat, rc.mu0)
+        assert not path_equivalence_residual(broken, w, 20) <= 1e-12

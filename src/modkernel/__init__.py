@@ -17,7 +17,6 @@ from .diffop import (
 from .integralrep import (
     CutoffError,
     SeriesRangeError,
-    SpecialFnConfig,
     bessel_j,
     f_n_partial_sum,
     hyp2f0_terminating,
@@ -48,7 +47,6 @@ from .kernels import (
     weighted_tables,
 )
 from .pencil import (
-    BandedMatrix,
     JacobiTypePencil,
     WeightSequence,
     associated_polynomials,
@@ -57,7 +55,6 @@ from .pencil import (
     build_pencil_matrices,
     five_term_residual,
     path_equivalence_residual,
-    pencil_to_banded,
 )
 from .polycore import (
     COEFF_DEGREE_CAP,

@@ -103,7 +103,7 @@ def evaluate(criterion: Criterion, seed: int = DEFAULT_SEED) -> Verdict:
 @_criterion("criterion-01-recurrence-equivalence", "pencil-solution-identity", 1e-9, budget_seconds=10.0)
 def criterion_01_recurrence_equivalence(seed: int) -> Measurement:
     # 3 families x 4 weight sequences, orders up to 25
-    worst = 0.0
+    readings = []
     # (family, t0 of the plain kernel, t0 of the eigenvalue-scaled kernel)
     for family, kernel_t0, near_t0 in (
         (Jacobi(0.5, -0.3), 1.0, 1.1),
@@ -120,29 +120,26 @@ def criterion_01_recurrence_equivalence(seed: int) -> Measurement:
         xs = family.sample_points(21, 12.0)
         for w in sequences:
             vals = associated_values(build_pencil_formulas(rc, w, 26), xs, 25)
-            worst = max(worst, weighted_sum_residual(rc, w, vals, xs))
-    return Measurement(worst, {})
+            readings.append(weighted_sum_residual(rc, w, vals, xs))
+    return Measurement(np.max(readings), {})
 
 
 @_criterion("criterion-02-path-equality", "embordering-vs-band-formulas", 1e-12, budget_seconds=1.0)
 def criterion_02_path_equality_at_200(seed: int) -> Measurement:
-    worst = 0.0
+    readings = []
     for family, family_seed in ((Chebyshev1(), seed), (Jacobi(0.5, -0.3), seed + 1)):
         w = WeightSequence(0.5 + np.random.default_rng(family_seed).random(201))
-        worst = max(worst, path_equivalence_residual(recurrence_coefficients(family, 200), w, 200))
-    return Measurement(worst, {})
+        readings.append(path_equivalence_residual(recurrence_coefficients(family, 200), w, 200))
+    return Measurement(np.max(readings), {})
 
 
 def _gram_sweep(cases) -> Measurement:
     # degree-12 Sobolev Gram blocks
-    worst = worst_vs_min = 0.0
-    diag_ok = True
-    for family, c, t0 in cases:
-        meas = gram_offdiagonal_measures(sobolev_gram(family, c, t0, 12))
-        diag_ok = diag_ok and meas["diag_min"] > 0.0
-        worst = max(worst, meas["normalized"])
-        worst_vs_min = max(worst_vs_min, meas["vs_min_diagonal"])
-    return Measurement(worst, {"vs_min_diagonal": worst_vs_min, "diagonal_positive": diag_ok}, holds=diag_ok)
+    measures = [gram_offdiagonal_measures(sobolev_gram(family, c, t0, 12)) for family, c, t0 in cases]
+    diag_ok = all(meas["diag_min"] > 0.0 for meas in measures)
+    worst_vs_min = float(np.max([meas["vs_min_diagonal"] for meas in measures]))
+    return Measurement(np.max([meas["normalized"] for meas in measures]),
+                       {"vs_min_diagonal": worst_vs_min, "diagonal_positive": diag_ok}, holds=diag_ok)
 
 
 @_criterion("criterion-03-jacobi-gram", "sobolev-orthogonality", 1e-9, budget_seconds=5.0)
@@ -163,7 +160,7 @@ def criterion_05_chebyshev_explicit_fixtures(seed: int) -> Measurement:
     # explicit low-order coefficients and the degree-1 root, through both the
     # Chebyshev recurrence and its Jacobi(-1/2, -1/2) form; each error is the
     # larger of its absolute and relative forms
-    worst = 0.0
+    readings = []
     for family, c in itertools.product((Chebyshev1(), Jacobi(-0.5, -0.5)), (0.1, 1.0, 10.0)):
         p1 = math.pi * sobolev_poly(family, c, 1.0, 1)
         p2 = math.pi * sobolev_poly(family, c, 1.0, 2)
@@ -175,8 +172,8 @@ def criterion_05_chebyshev_explicit_fixtures(seed: int) -> Measurement:
         ):
             ref = np.asarray(ref)
             err = float(np.abs(np.asarray(got) - ref).max())
-            worst = max(worst, err / min(1.0, float(np.abs(ref).max())))
-    return Measurement(worst, {})
+            readings.append(err / min(1.0, float(np.abs(ref).max())))
+    return Measurement(np.max(readings), {})
 
 
 @_criterion("criterion-06-chebyshev-bounds", "value-and-slope-bounds", 0.0, budget_seconds=2.0)
@@ -192,7 +189,7 @@ def criterion_07_eigen_relations(seed: int) -> Measurement:
         (LaguerreNeg(0.0), 2.0), (LaguerreNeg(0.5), 0.1), (LaguerreNeg(1.0), 0.5), (LaguerreNeg(3.0), 1.0),
         (Chebyshev1(), 1.0),
     )
-    return Measurement(max(max(verify_eigen_relation(f, c, 15)) for f, c in cases), {})
+    return Measurement(np.max([np.max(verify_eigen_relation(f, c, 15)) for f, c in cases]), {})
 
 
 @_criterion("criterion-08-kernel-image", "operator-strips-eigenvalue-scaling", 1e-10)
@@ -201,13 +198,13 @@ def criterion_08_kernel_image_identities(seed: int) -> Measurement:
         (Jacobi(0.5, -0.3), 2.0, 1.5), (Chebyshev1(), 1.0, 1.0),
         (LaguerreNeg(1.0), 0.5, 0.0), (LaguerreNeg(0.0), 2.0, 1.0),
     )
-    return Measurement(max(verify_kernel_image(f, c, t0, 12) for f, c, t0 in cases), {})
+    return Measurement(np.max([verify_kernel_image(f, c, t0, 12) for f, c, t0 in cases]), {})
 
 
 @_criterion("criterion-09-composed-equation", "fourth-order-composition", 1e-9)
 def criterion_09_composed_equations(seed: int) -> Measurement:
     cases = ((Jacobi(-0.5, -0.5), 1.0), (Jacobi(0.5, -0.3), 2.0), (LaguerreNeg(0.0), 2.0), (LaguerreNeg(1.5), 0.3))
-    worst = max(verify_composed_equation(f, c, 10) for f, c in cases)
+    worst = np.max([verify_composed_equation(f, c, 10) for f, c in cases])
     # the adopted convention takes the outer eigenvalue at the raised first
     # parameter; the alternative must fail visibly
     unshifted = verify_composed_equation(Jacobi(-0.5, -0.5), 1.0, 10, reading="unshifted")
@@ -217,8 +214,8 @@ def criterion_09_composed_equations(seed: int) -> Measurement:
 
 @_criterion("criterion-10-integral-representation", "bessel-integral-representation", 1e-5, budget_seconds=60.0)
 def criterion_10_integral_representation(seed: int) -> Measurement:
-    worst = max(float(integral_rep_errors(alpha, c, 6, (-0.5, -1.0, -5.0)).max())
-                for alpha in (0.0, 0.5, 2.0) for c in (1, 2, 3))
+    worst = np.max([integral_rep_errors(alpha, c, 6, (-0.5, -1.0, -5.0)).max()
+                    for alpha in (0.0, 0.5, 2.0) for c in (1, 2, 3)])
     return Measurement(worst, {})
 
 
@@ -238,9 +235,8 @@ def criterion_11_discriminant_witnesses(seed: int) -> Measurement:
 
 @_criterion("criterion-12-quadrature-exactness", "moment-exactness", 1e-10)
 def criterion_12_quadrature_exactness(seed: int) -> Measurement:
-    worst = 0.0
+    readings = []
     for family in (Jacobi(0.5, -0.3), LaguerreNeg(0.5), Chebyshev1()):
         rc = recurrence_coefficients(family, 60)
-        for n in range(1, 61):
-            worst = max(worst, moment_residual(gauss_rule(family, rc, n)))
-    return Measurement(worst, {})
+        readings += [moment_residual(gauss_rule(family, rc, n)) for n in range(1, 61)]
+    return Measurement(np.max(readings), {})

@@ -512,11 +512,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; invalid input exits 2 with a one-line ``error:`` message."""
+    """Run one subcommand; invalid input or a named range limit exits 2 with a one-line ``error:`` message."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CutoffError, ValueError) as exc:
+    except (CutoffError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,6 @@ rebuilding it.  The prefactor e^-x limits x to above -log(DBL_MAX)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +40,6 @@ from .quadrature import family_rule
 __all__ = [
     "SeriesRangeError",
     "CutoffError",
-    "SpecialFnConfig",
     "pochhammer",
     "bessel_j",
     "hyp2f0_terminating",
@@ -66,32 +64,16 @@ _LD_EPS = float(np.finfo(np.longdouble).eps)
 _EXP_LIMIT = math.log(np.finfo(float).max)
 
 
-@dataclass(frozen=True)
-class SpecialFnConfig:
-    """Tuning knobs for the integral evaluations.
-
-    outer_cutoff = None picks the truncation point T automatically so
-    the dropped tail is below ``tail_rel`` times the integrand peak;
-    ``budget_rel`` caps the accumulated Bessel round-off estimate
-    relative to the result scale before the evaluation refuses.
-    """
-
-    series_tol: float = 1e-15
-    outer_cutoff: float | None = None
-    outer_rule_size: int = 140
-    inner_rule_size: int = 24
-    bessel_zmax: float = 30.0
-    tail_rel: float = 1e-16
-    budget_rel: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if not self.series_tol <= 1e-14:
-            raise ValueError("series_tol must be at most 1e-14")
-        if self.outer_rule_size < 8 or self.inner_rule_size < 4:
-            raise ValueError("rule sizes are too small to mean anything")
-
-
-DEFAULT_CONFIG = SpecialFnConfig()
+# the Bessel series stops at the first term below _SERIES_TOL times its
+# largest partial sum; the outer cutoff T leaves a tail below _TAIL_REL
+# times the integrand peak; an evaluation whose Bessel round-off estimate
+# exceeds _BUDGET_REL of the result scale is refused
+_SERIES_TOL = 1e-15
+_TAIL_REL = 1e-16
+_BUDGET_REL = 1e-3
+# Gauss rule sizes of the outer integral and of the inner (polynomial) one
+_OUTER_RULE_SIZE = 140
+_INNER_RULE_SIZE = 24
 
 
 def pochhammer(c: float, k: int) -> float:
@@ -181,12 +163,10 @@ def _bessel_reg(nu: float, w, series_tol: float) -> tuple[np.ndarray, np.ndarray
     return total.reshape(wa.shape), est.reshape(wa.shape)
 
 
-def bessel_j(
-    nu: float, z, series_tol: float = 1e-15, zmax: float = DEFAULT_CONFIG.bessel_zmax
-):
+def bessel_j(nu: float, z, series_tol: float = _SERIES_TOL, zmax: float = 30.0):
     """Bessel function of the first kind by its ascending series.
 
-    Valid for nu > -1 and 0 <= z <= zmax; beyond the configured range
+    Valid for nu > -1 and 0 <= z <= zmax; beyond that range
     the cancellation in the series outruns the extended-precision
     accumulator and the call refuses rather than degrade silently.
     """
@@ -233,49 +213,40 @@ def hyp2f0_terminating(n: int, theta):
     return total
 
 
-def _auto_cutoff(p: float, rel: float) -> float:
-    """Smallest T with e^-T T^p below rel times the peak of e^-t t^p."""
+def _auto_cutoff(p: float) -> float:
+    """Smallest T with e^-T T^p below _TAIL_REL times the peak of e^-t t^p."""
     peak = math.exp(p * math.log(p) - p) if p > 0 else 1.0
-    target = math.log(rel * peak)
+    target = math.log(_TAIL_REL * peak)
     t = max(p + 5.0, 12.0)
     while -t + p * math.log(t) > target:
         t += 1.0
     return t
 
 
-def _tail_guard(p: float, cutoff: float, rel: float) -> None:
-    peak = math.exp(p * math.log(p) - p) if p > 0 else 1.0
-    if math.exp(-cutoff + p * math.log(max(cutoff, 1e-9))) > rel * peak:
-        raise CutoffError(
-            f"cutoff T = {cutoff} leaves a tail above {rel} of the integrand peak "
-            f"for decay exponent {p}"
-        )
-
-
-def _outer_rule(p: float, cutoff: float, size: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _outer_rule(p: float, cutoff: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Nodes, weights and mass factor for integral_0^T t^p g(t) dt.
 
     Built from the Gauss rule of the one-sided weight (1+s)^p on
     [-1, 1], mapped by t = T (1+s) / 2; the returned factor multiplies
     the plain weighted sum of g values.
     """
-    rule = family_rule(Jacobi(0.0, p), size)
+    rule = family_rule(Jacobi(0.0, p), _OUTER_RULE_SIZE)
     t = 0.5 * cutoff * (rule.nodes + 1.0)
     # t = T (1+s)/2 turns the target into (T/2)^(p+1) sum w_i g(t_i)
     factor = (0.5 * cutoff) ** (p + 1.0)
     return t, rule.weights, factor
 
 
-def _budget_guard(result: float, err: float, cfg: SpecialFnConfig) -> float:
+def _budget_guard(result: float, err: float) -> float:
     """Return the result unless the Bessel round-off estimate spoils it.
 
     A non-finite result or estimate, which the series reaches before
     the prefactor overflows, is refused the same way.
     """
-    if not (math.isfinite(result) and err <= cfg.budget_rel * max(abs(result), 1.0)):
+    if not (math.isfinite(result) and err <= _BUDGET_REL * max(abs(result), 1.0)):
         raise CutoffError(
             f"Bessel series round-off budget {err:.3g} exceeds "
-            f"{cfg.budget_rel} of the result scale {abs(result):.3g}; reduce the cutoff or the argument range"
+            f"{_BUDGET_REL} of the result scale {abs(result):.3g}; reduce the argument range"
         )
     return result
 
@@ -287,7 +258,7 @@ def _exp_range_guard(x: float) -> None:
         )
 
 
-def _outer_cutoff(route: str, alpha: float, n: int, x: float, cfg: SpecialFnConfig) -> float:
+def _outer_cutoff(route: str, alpha: float, n: int, x: float) -> float:
     """Check the arguments of an outer Bessel integral; return its cutoff T."""
     if not x < 0.0:
         raise ValueError(f"the {route} needs strictly negative x")
@@ -296,12 +267,10 @@ def _outer_cutoff(route: str, alpha: float, n: int, x: float, cfg: SpecialFnConf
     if n < 0:
         raise ValueError("n must be nonnegative")
     _exp_range_guard(x)
-    cutoff = cfg.outer_cutoff if cfg.outer_cutoff is not None else _auto_cutoff(n + alpha / 2.0, cfg.tail_rel)
-    _tail_guard(n + alpha / 2.0, cutoff, cfg.tail_rel)
-    return cutoff
+    return _auto_cutoff(n + alpha / 2.0)
 
 
-def laguerre_via_bessel(alpha: float, n: int, x: float, cfg: SpecialFnConfig = DEFAULT_CONFIG) -> float:
+def laguerre_via_bessel(alpha: float, n: int, x: float) -> float:
     """L_n^alpha(-x) for x < 0 through its Bessel integral.
 
     Evaluates (1/n!) e^-x (-x)^(-alpha/2) times the integral over
@@ -309,15 +278,15 @@ def laguerre_via_bessel(alpha: float, n: int, x: float, cfg: SpecialFnConfig = D
     algebraic origin factor t^(n+alpha) (Bessel part included) is
     absorbed into the quadrature weight.
     """
-    cutoff = _outer_cutoff("Bessel route", alpha, n, x, cfg)
-    t, w, factor = _outer_rule(n + alpha, cutoff, cfg.outer_rule_size)
-    reg, reg_err = _bessel_reg(alpha, -t * x, cfg.series_tol)
+    cutoff = _outer_cutoff("Bessel route", alpha, n, x)
+    t, w, factor = _outer_rule(n + alpha, cutoff)
+    reg, reg_err = _bessel_reg(alpha, -t * x, _SERIES_TOL)
     g = np.exp(-t) * (-x) ** (alpha / 2.0) * reg
     g_err = np.exp(-t) * (-x) ** (alpha / 2.0) * reg_err
     integral = factor * float(w @ g)
     budget = factor * float(np.abs(w) @ g_err)
     prefactor = math.exp(-x) * (-x) ** (-alpha / 2.0) / math.factorial(n)
-    return _budget_guard(prefactor * integral, prefactor * budget, cfg)
+    return _budget_guard(prefactor * integral, prefactor * budget)
 
 
 def _inner_rule(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -325,7 +294,7 @@ def _inner_rule(size: int) -> tuple[np.ndarray, np.ndarray]:
     return rule.nodes, rule.weights
 
 
-def f_n_partial_sum(c: int, n: int, t: float, cfg: SpecialFnConfig = DEFAULT_CONFIG) -> tuple[float, float]:
+def f_n_partial_sum(c: int, n: int, t: float) -> tuple[float, float]:
     """Both routes to f_n(t) = sum_{k<=n} t^k / ((k+c) k!), c a positive integer.
 
     Returns (direct sum, integral form); the integral form is
@@ -340,7 +309,7 @@ def f_n_partial_sum(c: int, n: int, t: float, cfg: SpecialFnConfig = DEFAULT_CON
     direct = 0.0
     for k in range(n + 1):
         direct += t**k / ((k + c) * math.factorial(k))
-    size = max(cfg.inner_rule_size, (n + c) // 2 + 2)
+    size = max(_INNER_RULE_SIZE, (n + c) // 2 + 2)
     s, w = _inner_rule(size)
     theta = 0.5 * t * (s + 1.0)
     vals = theta ** (n + c - 1) * hyp2f0_terminating(n, theta)
@@ -349,9 +318,7 @@ def f_n_partial_sum(c: int, n: int, t: float, cfg: SpecialFnConfig = DEFAULT_CON
     return direct, integral_form
 
 
-def sobolev_laguerre_integral_rep(
-    alpha: float, c: int, n: int, x: float, cfg: SpecialFnConfig = DEFAULT_CONFIG
-) -> float:
+def sobolev_laguerre_integral_rep(alpha: float, c: int, n: int, x: float) -> float:
     """Double-integral route to the edge Laguerre-type Sobolev sum, x < 0.
 
     Evaluates (1/(Gamma(alpha+1) n!)) e^-x (-x)^(-alpha/2) times the
@@ -362,20 +329,20 @@ def sobolev_laguerre_integral_rep(
     """
     if not (isinstance(c, (int, np.integer)) and c >= 1):
         raise ValueError("c must be a positive integer")
-    cutoff = _outer_cutoff("integral representation", alpha, n, x, cfg)
-    t, w, factor = _outer_rule(alpha, cutoff, cfg.outer_rule_size)
-    inner_size = max(cfg.inner_rule_size, (n + int(c)) // 2 + 2)
+    cutoff = _outer_cutoff("integral representation", alpha, n, x)
+    t, w, factor = _outer_rule(alpha, cutoff)
+    inner_size = max(_INNER_RULE_SIZE, (n + int(c)) // 2 + 2)
     s_in, w_in = _inner_rule(inner_size)
     theta = 0.5 * np.outer(t, s_in + 1.0)
     inner_vals = theta ** (n + c - 1) * hyp2f0_terminating(n, theta)
     inner = 0.5 * t * (inner_vals @ w_in)
-    reg, reg_err = _bessel_reg(alpha, -t * x, cfg.series_tol)
+    reg, reg_err = _bessel_reg(alpha, -t * x, _SERIES_TOL)
     g = np.exp(-t) * (-x) ** (alpha / 2.0) * reg * inner / t ** float(c)
     g_err = np.exp(-t) * (-x) ** (alpha / 2.0) * reg_err * np.abs(inner) / t ** float(c)
     integral = factor * float(w @ g)
     budget = factor * float(np.abs(w) @ g_err)
     prefactor = math.exp(-x) * (-x) ** (-alpha / 2.0) / (gamma_fn(alpha + 1.0) * math.factorial(n))
-    return _budget_guard(prefactor * integral, prefactor * budget, cfg)
+    return _budget_guard(prefactor * integral, prefactor * budget)
 
 
 def sobolev_laguerre_closed_form(alpha: float, c: float, n: int, x) -> float:
@@ -395,7 +362,7 @@ def sobolev_laguerre_closed_form(alpha: float, c: float, n: int, x) -> float:
     return res
 
 
-def integral_rep_errors(alpha: float, c: int, n_max: int, x_grid, cfg: SpecialFnConfig = DEFAULT_CONFIG) -> np.ndarray:
+def integral_rep_errors(alpha: float, c: int, n_max: int, x_grid) -> np.ndarray:
     """Relative errors of the double integral against the closed form.
 
     Entry [n, j] is |integral - closed| / max(|closed|, 1) at order n and
@@ -405,6 +372,6 @@ def integral_rep_errors(alpha: float, c: int, n_max: int, x_grid, cfg: SpecialFn
     for n in range(n_max + 1):
         for j, x in enumerate(x_grid):
             ref = sobolev_laguerre_closed_form(alpha, float(c), n, x)
-            got = sobolev_laguerre_integral_rep(alpha, c, n, x, cfg)
+            got = sobolev_laguerre_integral_rep(alpha, c, n, x)
             err[n, j] = abs(got - ref) / max(abs(ref), 1.0)
     return err

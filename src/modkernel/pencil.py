@@ -5,7 +5,8 @@ normalized partial sums p_n = (1/(c_0 g_0)) * sum_{k<=n} c_k g_k solve a
 generalized eigenvector relation (P - lambda T) p(lambda) = 0 with T
 tridiagonal and P symmetric pentadiagonal.  Both matrices are produced
 two ways: by explicit band formulas and by embordering the recurrence
-matrix with a two-diagonal factor; the interior entries must agree.
+matrix with a two-diagonal factor in plain dense products; the interior
+entries must agree.
 
 Row n of the pencil relation reads
 
@@ -34,10 +35,8 @@ from .polycore import DensePolynomial, RecurrenceCoefficients, orthonormal_value
 __all__ = [
     "WeightSequence",
     "JacobiTypePencil",
-    "BandedMatrix",
     "build_pencil_formulas",
     "build_pencil_matrices",
-    "pencil_to_banded",
     "path_equivalence_residual",
     "associated_polynomials",
     "associated_values",
@@ -104,99 +103,6 @@ class JacobiTypePencil:
         return self.a.size - 1
 
 
-class BandedMatrix:
-    """Square banded matrix stored by diagonals.
-
-    ``bands[offset][i]`` holds entry (i, i + offset); positions outside
-    the matrix are kept at exactly zero.
-    """
-
-    __slots__ = ("n", "bands")
-
-    def __init__(self, n: int, bands: dict[int, np.ndarray] | None = None) -> None:
-        if n < 1:
-            raise ValueError("matrix order must be positive")
-        self.n = n
-        self.bands: dict[int, np.ndarray] = {}
-        if bands:
-            for off, vals in bands.items():
-                self.set_band(off, vals)
-
-    def set_band(self, offset: int, values) -> None:
-        v = np.zeros(self.n)
-        vals = np.asarray(values, dtype=float)
-        lo = max(0, -offset)
-        hi = min(self.n, self.n - offset)
-        if vals.size != hi - lo:
-            raise ValueError(f"band {offset} needs {hi - lo} entries, got {vals.size}")
-        v[lo:hi] = vals
-        self.bands[offset] = v
-
-    def band(self, offset: int) -> np.ndarray:
-        return self.bands.get(offset, np.zeros(self.n))
-
-    @property
-    def bandwidth(self) -> int:
-        return max((abs(o) for o in self.bands), default=0)
-
-    def __getitem__(self, key) -> float:
-        i, j = key
-        off = j - i
-        if off in self.bands and 0 <= i < self.n and 0 <= j < self.n:
-            return float(self.bands[off][i])
-        return 0.0
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        for off, v in self.bands.items():
-            lo = max(0, -off)
-            hi = min(self.n, self.n - off)
-            idx = np.arange(lo, hi)
-            out[idx, idx + off] = v[lo:hi]
-        return out
-
-    def transpose(self) -> "BandedMatrix":
-        out = BandedMatrix(self.n)
-        for off, v in self.bands.items():
-            lo = max(0, off)
-            hi = min(self.n, self.n + off)
-            out.set_band(-off, v[lo - off : hi - off])
-        return out
-
-    def __neg__(self) -> "BandedMatrix":
-        out = BandedMatrix(self.n)
-        for off, v in self.bands.items():
-            out.bands[off] = -v.copy()
-        return out
-
-    def __matmul__(self, other: "BandedMatrix") -> "BandedMatrix":
-        if not isinstance(other, BandedMatrix) or other.n != self.n:
-            raise ValueError("can only multiply banded matrices of equal order")
-        n = self.n
-        out = BandedMatrix(n)
-        acc: dict[int, np.ndarray] = {}
-        for oa, va in self.bands.items():
-            for ob, vb in other.bands.items():
-                oc = oa + ob
-                if abs(oc) >= n:
-                    continue
-                # entry (i, i+oc) accumulates A[i, i+oa] * B[i+oa, i+oa+ob]
-                shifted = np.zeros(n)
-                if oa >= 0:
-                    shifted[: n - oa] = vb[oa:]
-                else:
-                    shifted[-oa:] = vb[: n + oa]
-                acc.setdefault(oc, np.zeros(n))
-                acc[oc] += va * shifted
-        for oc, v in acc.items():
-            lo = max(0, -oc)
-            hi = min(n, n - oc)
-            v[:lo] = 0.0
-            v[hi:] = 0.0
-            out.bands[oc] = v
-        return out
-
-
 def build_pencil_formulas(rc: RecurrenceCoefficients, w: WeightSequence, n_max: int) -> JacobiTypePencil:
     """Pencil bands for rows 0..n_max from the explicit entry formulas.
 
@@ -228,85 +134,50 @@ def build_pencil_formulas(rc: RecurrenceCoefficients, w: WeightSequence, n_max: 
     )
 
 
-def _embordering_matrix(w: WeightSequence, n: int) -> BandedMatrix:
-    # lower two-diagonal factor: 1/c_k on the diagonal, -1/c_k below
-    w.require(n - 1)
-    c = w.c[:n]
-    m = BandedMatrix(n)
-    m.set_band(0, 1.0 / c)
-    m.set_band(-1, -1.0 / c[1:])
-    return m
-
-
-def _recurrence_matrix(rc: RecurrenceCoefficients, n: int) -> BandedMatrix:
-    rc.require(n - 1)
-    m = BandedMatrix(n)
-    m.set_band(0, rc.b_hat[:n])
-    m.set_band(1, rc.a_hat[: n - 1])
-    m.set_band(-1, rc.a_hat[: n - 1])
-    return m
+def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def build_pencil_matrices(
     rc: RecurrenceCoefficients, w: WeightSequence, n: int
-) -> tuple[BandedMatrix, BandedMatrix]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Truncated matrix-product construction of the pencil pair.
 
-    Returns (T, P) with T = -C^T C tridiagonal and P = -C^T G C
-    pentadiagonal, where C is the two-diagonal embordering factor and G
-    the recurrence matrix.  Products of truncations are wrong near the
-    boundary, so only rows/columns up to n - 3 match the band formulas.
+    Returns (T, P) as n x n arrays with T = -C^T C tridiagonal and
+    P = -C^T G C pentadiagonal, where C is the two-diagonal embordering
+    factor (1/c_k on the diagonal, -1/c_k below it) and G the recurrence
+    matrix.  Products of truncations are wrong near the boundary, so
+    only rows/columns up to n - 3 match the band formulas.
     """
     if n < 3:
         raise ValueError("truncation order must be at least 3")
-    cmat = _embordering_matrix(w, n)
-    gmat = _recurrence_matrix(rc, n)
-    ct = cmat.transpose()
-    t3 = -(ct @ cmat)
-    p5 = -(ct @ (gmat @ cmat))
-    return t3, p5
-
-
-def pencil_to_banded(p: JacobiTypePencil, n: int) -> tuple[BandedMatrix, BandedMatrix]:
-    """Dense-band truncations of the formula-path pencil."""
-    if n - 1 > p.n_max:
-        raise ValueError(f"pencil bands cover rows 0..{p.n_max}, need 0..{n - 1}")
-    t3 = BandedMatrix(n)
-    t3.set_band(0, p.b[:n])
-    t3.set_band(1, p.a[: n - 1])
-    t3.set_band(-1, p.a[: n - 1])
-    p5 = BandedMatrix(n)
-    p5.set_band(0, p.alpha_band[:n])
-    p5.set_band(1, p.beta_band[: n - 1])
-    p5.set_band(-1, p.beta_band[: n - 1])
-    p5.set_band(2, p.gamma_band[: n - 2])
-    p5.set_band(-2, p.gamma_band[: n - 2])
-    return t3, p5
+    w.require(n - 1)
+    rc.require(n - 1)
+    inv_c = 1.0 / w.c[:n]
+    cmat = np.diag(inv_c) - np.diag(inv_c[1:], -1)
+    gmat = _tridiagonal(rc.b_hat[:n], rc.a_hat[: n - 1])
+    return -(cmat.T @ cmat), -(cmat.T @ (gmat @ cmat))
 
 
 def path_equivalence_residual(rc: RecurrenceCoefficients, w: WeightSequence, n: int) -> float:
     """Max relative interior mismatch between the two construction paths.
 
-    Interior means rows and columns up to n - 3; the comparison is
-    band-wise, normalized per entry by max(1, |formula entry|).  A NaN
-    in either path reads NaN.
+    The embordering products of ``build_pencil_matrices`` are compared
+    entry by entry with the band formulas of rows 0..n - 3 laid out as
+    matrices, over the interior block of rows and columns 0..n - 3,
+    each entry normalized by max(1, |formula entry|).  A NaN in either
+    path reads NaN.
     """
     t_mat, p_mat = build_pencil_matrices(rc, w, n)
     pen = build_pencil_formulas(rc, w, n - 3)
-    t_ref, p_ref = pencil_to_banded(pen, n - 2)
-    band_worst = [0.0]
-    interior = n - 2  # rows 0..n-3
-    for ref, got in ((t_ref, t_mat), (p_ref, p_mat)):
-        offsets = set(ref.bands) | set(got.bands)
-        for off in offsets:
-            vr = ref.band(off)[:interior]
-            vg = got.band(off)[:interior]
-            m = min(vr.size, vg.size, interior - max(0, off))
-            if m <= 0:
-                continue
-            diff = np.abs(vg[:m] - vr[:m]) / np.maximum(1.0, np.abs(vr[:m]))
-            band_worst.append(diff.max())
-    return float(np.max(band_worst))
+    m = n - 2  # rows 0..n-3
+    t_ref = _tridiagonal(pen.b[:m], pen.a[: m - 1])
+    p_ref = _tridiagonal(pen.alpha_band[:m], pen.beta_band[: m - 1])
+    p_ref += np.diag(pen.gamma_band[: m - 2], 2) + np.diag(pen.gamma_band[: m - 2], -2)
+    return float(np.max([
+        np.abs(got[:m, :m] - ref) / np.maximum(1.0, np.abs(ref))
+        for ref, got in ((t_ref, t_mat), (p_ref, p_mat))
+    ]))
 
 
 def associated_polynomials(p: JacobiTypePencil, n: int) -> list[DensePolynomial]:
@@ -363,27 +234,25 @@ def associated_values(p: JacobiTypePencil, lambdas, n: int) -> np.ndarray:
     return out
 
 
-def five_term_residual(p: JacobiTypePencil, polys, lambdas, scaled: bool = False) -> float:
+def five_term_residual(p: JacobiTypePencil, values: np.ndarray, lambdas, scaled: bool = False) -> float:
     """Max absolute row residual of the pencil relation over sample points.
 
-    ``polys`` is a sequence of callables indexed 0..N (or an ndarray of
-    precomputed values, one row per index); rows 0..N-2 are evaluated,
-    all in one array pass.  With ``scaled=True`` the result is divided by
-    the largest term magnitude that appeared, giving a dimensionless
-    figure.  A NaN anywhere in the values or bands reads NaN.
+    ``values`` holds p_0..p_N at ``lambdas``, one row per index and one
+    column per sample point (from ``associated_values``); rows 0..N-2 are
+    evaluated, all in one array pass.  With ``scaled=True`` the result is
+    divided by the largest term magnitude that appeared, giving a
+    dimensionless figure.  A NaN anywhere in the values or bands reads
+    NaN.
     """
     lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    n_top = len(polys) - 1
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 2:
+        raise ValueError("precomputed values need one row per index and one column per sample point")
+    n_top = vals.shape[0] - 1
     if n_top < 2:
         raise ValueError("need polynomials up to index 2 to form a residual row")
     if p.n_max < n_top - 2:
         raise ValueError(f"pencil bands cover rows 0..{p.n_max}, need 0..{n_top - 2}")
-    if isinstance(polys, np.ndarray):
-        vals = np.asarray(polys, dtype=float)
-        if vals.ndim != 2:
-            raise ValueError("precomputed values need one row per index and one column per sample point")
-    else:
-        vals = np.array([np.broadcast_to(np.asarray(q(lam), dtype=float), lam.shape) for q in polys])
     rows = n_top - 1
     inner = max(rows - 2, 0)
     diag = p.alpha_band[:rows, None] - lam * p.b[:rows, None]

@@ -360,7 +360,7 @@ def associated_values_loop(p, lambdas, n: int) -> np.ndarray:
     return out
 
 
-def five_term_residual_loop(p, polys, lambdas, scaled: bool = False) -> float:
+def five_term_residual_loop(p, vals, lambdas, scaled: bool = False) -> float:
     """The pencil relation's row residual, one row at a time.
 
     The loop ``five_term_residual`` ran before it formed every row in
@@ -369,13 +369,10 @@ def five_term_residual_loop(p, polys, lambdas, scaled: bool = False) -> float:
     Python ``max``, which passes over NaN.
     """
     lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    n_top = len(polys) - 1
+    vals = np.asarray(vals, dtype=float)
+    n_top = len(vals) - 1
     if n_top < 2:
         raise ValueError("need polynomials up to index 2 to form a residual row")
-    if isinstance(polys, np.ndarray):
-        vals = np.asarray(polys, dtype=float)
-    else:
-        vals = np.array([np.broadcast_to(np.asarray(q(lam), dtype=float), lam.shape) for q in polys])
     worst = 0.0
     scale = 0.0
     for k in range(0, n_top - 1):

@@ -6,6 +6,10 @@ and asserts the registry's verdict.  Run pytest with -s to see one
 PASS/FAIL line per criterion.
 """
 
+import itertools
+import math
+
+from modkernel import acceptance
 from modkernel.acceptance import CRITERIA, evaluate
 
 
@@ -22,3 +26,19 @@ def _criterion_test(criterion):
 for _criterion in CRITERIA:
     _test = _criterion_test(_criterion)
     globals()[_test.__name__] = _test
+
+
+def test_nan_case_reading_fails_its_criterion(monkeypatch):
+    # one NaN among the twelve case readings of criterion 01 must not be folded away
+    calls = itertools.count()
+    real = acceptance.weighted_sum_residual
+
+    def nan_in_second_case(*args):
+        value = real(*args)
+        return math.nan if next(calls) == 1 else value
+
+    monkeypatch.setattr(acceptance, "weighted_sum_residual", nan_in_second_case)
+    criterion = next(c for c in CRITERIA if c.name == "criterion-01-recurrence-equivalence")
+    verdict = evaluate(criterion)
+    assert next(calls) == 12
+    assert not verdict.passed and math.isnan(verdict.measured)

@@ -142,6 +142,19 @@ def test_bad_family_parameters_exit_two(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("alpha", ["200", "280"])
+@pytest.mark.parametrize("argv", [
+    ["pencil", "--family", "laguerre", "--nmax", "5"],
+    ["integralcheck", "--nmax", "0", "--x=-1"],
+])
+def test_gamma_overflow_exits_two(argv, alpha, capsys):
+    # Gamma(alpha + 1) of the LaguerreNeg weight leaves the double range
+    code = run([*argv, "--alpha", alpha])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: gamma_fn({float(alpha) + 1.0}) overflows double precision\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["pencil", "--family", "chebyshev", "--nmax"],
     ["gram", "--family", "chebyshev", "--t0", "1", "--nmax"],

@@ -3,43 +3,58 @@ import math
 import numpy as np
 import pytest
 
-from modkernel.gammafn import beta_fn, binomial_gen, gamma_fn, lgamma_fn
+from modkernel.gammafn import beta_fn, gamma_fn
+
+
+@pytest.fixture
+def mpmath():
+    return pytest.importorskip("mpmath")
 
 
 def test_gamma_against_stdlib():
-    xs = np.linspace(0.01, 60.0, 4001)
-    worst = max(abs(gamma_fn(float(x)) - math.gamma(float(x))) / math.gamma(float(x)) for x in xs)
-    assert worst < 1e-12
+    # gamma_fn is math.gamma behind its domain check
+    for x in np.linspace(0.01, 60.0, 401):
+        assert gamma_fn(float(x)) == math.gamma(float(x))
 
 
 def test_gamma_against_stdlib_up_to_overflow():
     # the whole double range of Gamma, which ends at 171.62
-    xs = np.linspace(0.01, 171.6, 4001)
-    worst = max(abs(gamma_fn(float(x)) / math.gamma(float(x)) - 1.0) for x in xs)
-    assert worst <= 1e-13
-    with pytest.raises(OverflowError):
+    for x in np.linspace(0.01, 171.6, 401):
+        assert gamma_fn(float(x)) == math.gamma(float(x))
+    with pytest.raises(OverflowError, match=r"^gamma_fn\(171\.7\) overflows double precision$"):
         gamma_fn(171.7)
+    with pytest.raises(OverflowError, match=r"^gamma_fn\(280\.0\) overflows"):
+        gamma_fn(280.0)
 
 
-def test_lgamma_against_stdlib():
-    xs = np.linspace(0.01, 170.0, 2001)
-    for x in xs:
-        assert lgamma_fn(float(x)) == pytest.approx(math.lgamma(float(x)), abs=1e-12, rel=1e-13)
+def test_gamma_against_mpmath(mpmath):
+    xs = np.linspace(0.01, 171.6, 2001)
+    with mpmath.workdps(50):
+        worst = max(abs(mpmath.mpf(gamma_fn(float(x))) / mpmath.gamma(mpmath.mpf(float(x))) - 1) for x in xs)
+    assert worst <= 2e-15
+
+
+def test_within_one_ulp_of_mpmath(mpmath):
+    with mpmath.workdps(50):
+        for x in (0.5, 2.3, 11.5, 40.25, 171.6):
+            exact = mpmath.gamma(mpmath.mpf(x))
+            assert abs(mpmath.mpf(gamma_fn(x)) - exact) <= math.ulp(float(exact)), x
 
 
 def test_half_integer_values():
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert gamma_fn(1.5) == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-14)
+    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+    assert gamma_fn(1.5) == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-15)
 
 
 def test_functional_equation():
     for x in (0.1, 0.7, 2.3, 11.5, 40.25):
-        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-13)
+        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-14)
 
 
 def test_integer_factorials():
-    for n in range(1, 20):
-        assert gamma_fn(float(n)) == pytest.approx(math.factorial(n - 1), rel=1e-13)
+    # exact wherever (n - 1)! is a double
+    for n in range(1, 24):
+        assert gamma_fn(float(n)) == math.factorial(n - 1)
 
 
 def test_beta_symmetry_and_value():
@@ -49,17 +64,18 @@ def test_beta_symmetry_and_value():
     assert beta_fn(0.5, 0.5) == pytest.approx(math.pi, rel=1e-13)
 
 
+def test_beta_against_mpmath(mpmath):
+    # includes arguments whose three Gamma values overflow a double
+    with mpmath.workdps(50):
+        for a, b in ((0.5, 0.5), (1.5, 0.7), (3.2, 4.1), (40.0, 0.3), (150.0, 150.0), (200.5, 2.5)):
+            exact = mpmath.beta(mpmath.mpf(a), mpmath.mpf(b))
+            assert abs(mpmath.mpf(beta_fn(a, b)) / exact - 1) <= 1e-12, (a, b)
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         gamma_fn(0.0)
     with pytest.raises(ValueError):
-        lgamma_fn(-1.0)
-
-
-def test_binomial_gen():
-    assert binomial_gen(5.0, 2) == pytest.approx(10.0, rel=1e-14)
-    assert binomial_gen(2.5, 0) == 1.0
-    # matches the gamma-ratio definition for non-integer upper index
-    a, k = 3.7, 3
-    ref = gamma_fn(a + 1.0) / (math.factorial(k) * gamma_fn(a - k + 1.0))
-    assert binomial_gen(a, k) == pytest.approx(ref, rel=1e-13)
+        gamma_fn(-1.0)
+    with pytest.raises(ValueError):
+        gamma_fn(math.nan)

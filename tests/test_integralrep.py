@@ -8,7 +8,6 @@ from modkernel.gammafn import gamma_fn
 from modkernel.integralrep import (
     CutoffError,
     SeriesRangeError,
-    SpecialFnConfig,
     bessel_j,
     f_n_partial_sum,
     hyp2f0_terminating,
@@ -187,11 +186,6 @@ class TestLaguerreViaBessel:
         with pytest.raises(ValueError):
             laguerre_via_bessel(0.0, 2, 1.0)
 
-    def test_insufficient_cutoff_refused(self):
-        cfg = SpecialFnConfig(outer_cutoff=8.0)
-        with pytest.raises(CutoffError):
-            laguerre_via_bessel(0.0, 6, -1.0, cfg)
-
 
 class TestRouteOracles:
     """Both integral routes against mpmath, at the routes' own 1e-5."""
@@ -281,16 +275,6 @@ class TestDoubleIntegral:
             sobolev_laguerre_integral_rep(0.0, 1.5, 2, -1.0)
         with pytest.raises(ValueError):
             sobolev_laguerre_integral_rep(0.0, 1, 2, 1.0)
-
-
-class TestConfig:
-    def test_series_tol_bound(self):
-        with pytest.raises(ValueError):
-            SpecialFnConfig(series_tol=1e-10)
-
-    def test_rule_size_bound(self):
-        with pytest.raises(ValueError):
-            SpecialFnConfig(inner_rule_size=2)
 
 
 class TestRangeLimits:

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from modkernel import pencil as pencil_module
 from modkernel.kernels import EigScaledKernel, PlainKernel, SecondKind, generate_weights
 from modkernel.pencil import (
-    BandedMatrix,
     WeightSequence,
     associated_polynomials,
     associated_values,
@@ -14,7 +14,6 @@ from modkernel.pencil import (
     build_pencil_matrices,
     five_term_residual,
     path_equivalence_residual,
-    pencil_to_banded,
     weighted_sum_residual,
 )
 from modkernel.polycore import (
@@ -33,6 +32,12 @@ def cheb_rc(n):
     return recurrence_coefficients(Chebyshev1(), n)
 
 
+def evaluate(polys, lambdas) -> np.ndarray:
+    """Values of the polynomials at the sample points, one row per polynomial."""
+    lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    return np.array([np.broadcast_to(q(lam), lam.shape) for q in polys])
+
+
 class TestWeightSequence:
     def test_rejects_nonpositive_with_index(self):
         with pytest.raises(ValueError, match=r"c\[2\]"):
@@ -45,35 +50,6 @@ class TestWeightSequence:
         assert len(w) == 3 and w[1] == 2.0
         with pytest.raises(ValueError):
             w.require(3)
-
-
-class TestBandedMatrix:
-    def test_roundtrip_and_transpose(self):
-        m = BandedMatrix(5)
-        m.set_band(0, [1.0, 2.0, 3.0, 4.0, 5.0])
-        m.set_band(-1, [6.0, 7.0, 8.0, 9.0])
-        m.set_band(2, [10.0, 11.0, 12.0])
-        dense = m.to_dense()
-        assert dense[2, 1] == 7.0 and dense[1, 3] == 11.0
-        np.testing.assert_allclose(m.transpose().to_dense(), dense.T)
-        assert m.bandwidth == 2
-        assert m[0, 4] == 0.0
-
-    def test_matmul_matches_dense(self):
-        rng = np.random.default_rng(3)
-        a = BandedMatrix(8)
-        a.set_band(0, rng.standard_normal(8))
-        a.set_band(-1, rng.standard_normal(7))
-        b = BandedMatrix(8)
-        b.set_band(0, rng.standard_normal(8))
-        b.set_band(1, rng.standard_normal(7))
-        b.set_band(-1, rng.standard_normal(7))
-        np.testing.assert_allclose((a @ b).to_dense(), a.to_dense() @ b.to_dense(), atol=1e-14)
-
-    def test_neg(self):
-        m = BandedMatrix(3)
-        m.set_band(0, [1.0, -2.0, 3.0])
-        np.testing.assert_allclose((-m).to_dense(), -m.to_dense())
 
 
 class TestFormulaPath:
@@ -109,8 +85,7 @@ class TestFormulaPath:
 class TestMatrixPath:
     def test_unit_weights_interior(self):
         rc = cheb_rc(10)
-        t3, _ = build_pencil_matrices(rc, WeightSequence(np.ones(10)), 5)
-        d = t3.to_dense()
+        d, _ = build_pencil_matrices(rc, WeightSequence(np.ones(10)), 5)
         np.testing.assert_allclose(np.diag(d)[:3], -2.0, rtol=1e-15)
         np.testing.assert_allclose(np.diag(d, 1)[:3], 1.0, rtol=1e-15)
 
@@ -142,12 +117,42 @@ class TestMatrixPath:
         with pytest.raises(ValueError):
             build_pencil_matrices(rc, WeightSequence(np.ones(5)), 2)
 
-    def test_pencil_to_banded_symmetry(self):
-        rc = cheb_rc(12)
-        pen = build_pencil_formulas(rc, WeightSequence(np.ones(13)), 9)
-        t3, p5 = pencil_to_banded(pen, 8)
-        np.testing.assert_allclose(t3.to_dense(), t3.to_dense().T)
-        np.testing.assert_allclose(p5.to_dense(), p5.to_dense().T)
+    def test_products_symmetric_and_banded(self):
+        rc = recurrence_coefficients(Jacobi(0.5, -0.3), 12)
+        w = WeightSequence(0.5 + np.random.default_rng(6).random(12))
+        t3, p5 = build_pencil_matrices(rc, w, 12)
+        assert t3.shape == p5.shape == (12, 12)
+        np.testing.assert_allclose(t3, t3.T, rtol=1e-15)
+        np.testing.assert_allclose(p5, p5.T, rtol=1e-15)
+        rows, cols = np.indices(t3.shape)
+        assert np.all(t3[np.abs(rows - cols) > 1] == 0.0)
+        assert np.all(p5[np.abs(rows - cols) > 2] == 0.0)
+
+    @pytest.mark.parametrize("band", ["b", "a", "alpha_band", "beta_band", "gamma_band"])
+    def test_reads_a_perturbed_formula_entry(self, monkeypatch, band):
+        # the formula side is built one row further than the check asks for,
+        # so a perturbation in row n - 2 is present but outside the interior
+        n, delta = 14, 1e-7
+        rc = recurrence_coefficients(Jacobi(0.5, -0.3), n + 2)
+        w = WeightSequence(0.5 + np.random.default_rng(12).random(n + 3))
+        assert path_equivalence_residual(rc, w, n) <= 1e-13
+        clean = getattr(build_pencil_formulas(rc, w, n - 2), band)
+        # the last row whose entry of this band lies in rows and columns 0..n - 3
+        last = n - 3 - {"b": 0, "alpha_band": 0, "a": 1, "beta_band": 1, "gamma_band": 2}[band]
+        for row, inside in ((0, True), (last, True), (n - 2, False)):
+            bumped = clean.copy()
+            bumped[row] += delta * max(1.0, abs(clean[row]))
+
+            def perturbed(rc_, w_, n_max, bumped=bumped):
+                return dataclasses.replace(build_pencil_formulas(rc_, w_, n_max + 1), **{band: bumped})
+
+            monkeypatch.setattr(pencil_module, "build_pencil_formulas", perturbed)
+            reading = path_equivalence_residual(rc, w, n)
+            if inside:
+                size = (bumped[row] - clean[row]) / max(1.0, abs(bumped[row]))
+                assert reading == pytest.approx(size, rel=1e-6)
+            else:
+                assert reading <= 1e-13
 
 
 class TestAssociatedPolynomials:
@@ -194,8 +199,8 @@ class TestFiveTermResidual:
     def test_self_consistency(self):
         rc = cheb_rc(14)
         pen = build_pencil_formulas(rc, WeightSequence(np.ones(15)), 11)
-        polys = associated_polynomials(pen, 10)
-        assert five_term_residual(pen, polys, np.linspace(-1, 1, 15), scaled=True) <= 1e-10
+        xs = np.linspace(-1, 1, 15)
+        assert five_term_residual(pen, evaluate(associated_polynomials(pen, 10), xs), xs, scaled=True) <= 1e-10
 
     def test_direct_sums_satisfy_relation(self):
         rc = recurrence_coefficients(LaguerreNeg(0.0), 14)
@@ -216,13 +221,14 @@ class TestFiveTermResidual:
         from modkernel.polycore import DensePolynomial
 
         broken[3] = DensePolynomial(bumped)
-        assert five_term_residual(pen, broken, np.linspace(-1, 1, 15)) > 1e-4
+        xs = np.linspace(-1, 1, 15)
+        assert five_term_residual(pen, evaluate(broken, xs), xs) > 1e-4
 
     def test_needs_three_polynomials(self):
         rc = cheb_rc(14)
         pen = build_pencil_formulas(rc, WeightSequence(np.ones(15)), 11)
         with pytest.raises(ValueError):
-            five_term_residual(pen, associated_polynomials(pen, 1), [0.0])
+            five_term_residual(pen, evaluate(associated_polynomials(pen, 1), [0.0]), [0.0])
 
 
 def test_weighted_sum_residual_detects_perturbation():
@@ -265,7 +271,7 @@ class TestOneStepOracles:
     def test_sweep_and_residual_match_loops(self, fam, source, n):
         family = ORACLE_FAMILIES[fam]
         pen = edge_pencil(family, source, n)
-        # the list form at n = 200 costs about 0.5 s a case; one case below covers it
+        # the coefficient route at n = 200 costs about 0.5 s a case; one case below covers it
         polys = associated_polynomials(pen, n) if n <= 64 else None
         for count in (1, 21):
             lams = family.sample_points(count, 12.0)
@@ -278,7 +284,9 @@ class TestOneStepOracles:
                 for given in (vals, bumped):
                     assert five_term_residual(pen, given, lams, scaled) == five_term_residual_loop(pen, given, lams, scaled)
                 if polys is not None:
-                    assert five_term_residual(pen, polys, lams, scaled) == five_term_residual_loop(pen, polys, lams, scaled)
+                    coeff_vals = evaluate(polys, lams)
+                    assert five_term_residual(pen, coeff_vals, lams, scaled) == five_term_residual_loop(
+                        pen, coeff_vals, lams, scaled)
 
     def test_scalar_sample_point(self):
         pen = edge_pencil(ORACLE_FAMILIES["jacobi"], "kernel", 12)
@@ -311,18 +319,17 @@ class TestOneStepOracles:
 
     def test_polynomial_list_at_degree_200(self):
         pen = edge_pencil(ORACLE_FAMILIES["chebyshev"], "random", 200)
-        polys = associated_polynomials(pen, 200)
         lams = np.linspace(-1.0, 1.0, 21)
+        coeff_vals = evaluate(associated_polynomials(pen, 200), lams)
         for scaled in (False, True):
-            assert five_term_residual(pen, polys, lams, scaled) == five_term_residual_loop(pen, polys, lams, scaled)
+            assert five_term_residual(pen, coeff_vals, lams, scaled) == five_term_residual_loop(pen, coeff_vals, lams, scaled)
 
 
 class TestPencilErrors:
     def test_residual_needs_index_two(self):
         pen = edge_pencil(Chebyshev1(), "ones", 4)
-        for form in (associated_values(pen, [0.0], 1), associated_polynomials(pen, 1)):
-            with pytest.raises(ValueError, match=r"^need polynomials up to index 2 to form a residual row$"):
-                five_term_residual(pen, form, [0.0])
+        with pytest.raises(ValueError, match=r"^need polynomials up to index 2 to form a residual row$"):
+            five_term_residual(pen, associated_values(pen, [0.0], 1), [0.0])
 
     def test_values_need_rows_and_columns(self):
         pen = edge_pencil(Chebyshev1(), "ones", 4)

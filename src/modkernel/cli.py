@@ -512,13 +512,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; invalid input or a named range limit exits 2 with a one-line ``error:`` message."""
+    """Run one subcommand; invalid input or a named range limit exits 2 with a one-line ``error:`` message.
+
+    A reader that closes stdout early ends the run with exit status 1 and
+    no traceback.
+    """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except (CutoffError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (``modkernel selftest | head -1``); as the
+        # signal module's notes on SIGPIPE advise, point stdout at os.devnull,
+        # so the flush at exit cannot fail again, and stop without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

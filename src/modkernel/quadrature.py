@@ -8,8 +8,13 @@ gives g_N'' for Halley's cubically convergent form of the step.  The
 weights are the Christoffel numbers 1 / sum_{k<N} g_k(x_i)^2, summed
 in the last sweep and corrected to first order for that sweep's step,
 so each weight is accurate relative to itself, the small tail weights
-included.  A rule takes two to four sweeps of O(N^2) numpy work and
-O(N) memory.
+included.  A sweep is O(N^2) numpy work and O(N) memory, and costs the
+same however close the seeds are, so the seeds set a rule's cost: a
+Chebyshev rule takes one sweep, a Jacobi rule with parameters up to 2
+takes two (its seeds near both ends come from Bessel zeros; Hale &
+Townsend, SIAM J. Sci. Comput. 35 (2013), §3.2) and a LaguerreNeg rule
+three.  A fresh Jacobi rule at N = 255 takes about 5 ms on one core of
+a 2-core x86 machine.
 
 The rule certifies itself: N converged zeros that are separated and
 inside the support are all N zeros of g_N.  Where seeds lead two points

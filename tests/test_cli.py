@@ -381,6 +381,23 @@ def test_module_entry_point():
     assert "selftest" in proc.stdout
 
 
+def test_closed_stdout_pipe_stops_without_traceback():
+    # `modkernel selftest | head -1` with the reader gone before the first
+    # write: every write to stdout then fails with EPIPE
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("modkernel").__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "modkernel", "selftest"], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+
+
 def test_parser_covers_subcommands():
     ap = build_parser()
     for cmd in ("pencil", "gram", "diffcheck", "integralcheck", "plotdata", "selftest"):

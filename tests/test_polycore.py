@@ -16,6 +16,7 @@ from modkernel.polycore import (
     poly_eval,
     recurrence_coefficients,
 )
+from modkernel.polycore import _bessel_zeros
 from modkernel.quadrature import gauss_rule
 
 from oracles import (
@@ -393,3 +394,43 @@ class TestJacobiRecurrence:
             rc = Jacobi(alpha, beta).recurrence(n_max)
             a_hat, b_hat = jacobi_recurrence_scalar(alpha, beta, n_max)
             assert np.array_equal(rc.a_hat, a_hat) and np.array_equal(rc.b_hat, b_hat)
+
+
+class TestBesselZeros:
+    """The zeros behind the boundary seeds of the Jacobi Gauss nodes."""
+
+    ORDERS = [-0.9, -0.5, 0.0, 0.7, 2.0, 10.0, 40.0]
+
+    @pytest.mark.parametrize("nu", [nu for nu in ORDERS if nu >= 0.0])
+    def test_against_mpmath(self, nu):
+        mpmath = pytest.importorskip("mpmath")
+        zeros = _bessel_zeros(nu, 10)
+        with mpmath.workdps(30):
+            exact = np.array([float(mpmath.besseljzero(mpmath.mpf(nu), k)) for k in range(1, 11)])
+        assert np.abs(zeros / exact - 1.0).max() <= 1e-13
+
+    @pytest.mark.parametrize("nu", [nu for nu in ORDERS if nu < 0.0])
+    def test_negative_orders_are_roots(self, nu):
+        # besseljzero refuses -1 < nu < 0: Newton's correction J / J' at each
+        # zero must be at round-off, and the first ten zeros all present
+        mpmath = pytest.importorskip("mpmath")
+        zeros = _bessel_zeros(nu, 10)
+        with mpmath.workdps(30):
+            for z in zeros:
+                z = mpmath.mpf(float(z))
+                correction = mpmath.besselj(nu, z) / mpmath.besselj(nu, z, derivative=1)
+                assert abs(correction) <= 1e-13 * z
+        # McMahon: j_k = (k + nu/2 - 1/4) pi + O(1/k), so the first is below
+        # pi and later ones are about pi apart
+        assert 0.0 < zeros[0] < math.pi
+        assert np.all(np.abs(np.diff(zeros) - math.pi) < 0.25)
+
+    def test_half_order_closed_form(self):
+        # J_(-1/2)(z) = sqrt(2 / (pi z)) cos z
+        exact = (np.arange(1, 11) - 0.5) * math.pi
+        assert np.abs(_bessel_zeros(-0.5, 10) / exact - 1.0).max() <= 1e-13
+
+    def test_fewer_zeros_are_the_first_ones(self):
+        ten = _bessel_zeros(0.7, 10)
+        for m in (1, 3, 5):
+            assert np.abs(_bessel_zeros(0.7, m) / ten[:m] - 1.0).max() <= 1e-13

@@ -136,7 +136,9 @@ def _matches_ql_oracle(family, n, rule):
 
 @pytest.mark.parametrize("family, n", [
     # large parameters, where asymptotic seeds can lead two points to one
-    # zero (the first two take the repair)
+    # zero: the first two still take the repair (15 and 14 sweeps), because
+    # the boundary seeds of Jacobi(40, 0.5) are off at N = 60 and LaguerreNeg
+    # has none; the third converges in four sweeps
     (Jacobi(40.0, 0.5), 60),
     (LaguerreNeg(40.0), 50),
     (LaguerreNeg(10.0), 180),
@@ -148,12 +150,65 @@ def test_seed_failure_cases_match_ql_oracle(family, n):
 @pytest.mark.parametrize("family, n", [(Jacobi(0.5, -0.3), 40), (LaguerreNeg(2.5), 40), (Chebyshev1(), 9)])
 @pytest.mark.parametrize("seeds", [np.zeros, lambda n: np.full(n, -0.25), lambda n: np.linspace(-0.5, -0.4, n)])
 def test_degenerate_seeds_are_repaired(family, n, seeds, monkeypatch):
-    repairs = []
-    repair = quadrature._repair
-    monkeypatch.setattr(quadrature, "_repair", lambda *args: repairs.append(1) or repair(*args))
+    counts = _count_work(monkeypatch)
     monkeypatch.setattr(type(family), "gauss_seeds", lambda self, n_points: seeds(n_points))
     _matches_ql_oracle(family, n, gauss_rule(family, recurrence_coefficients(family, n), n))
-    assert repairs == [1]
+    assert counts["repairs"] == 1
+
+
+def _count_work(monkeypatch):
+    """Counters of the recurrence sweeps and of the repairs of the rules built from here on."""
+    counts = {"sweeps": 0, "repairs": 0}
+    sweep, repair = quadrature._Sweep.__call__, quadrature._repair
+
+    def counted_sweep(self, *args, **kwargs):
+        counts["sweeps"] += 1
+        return sweep(self, *args, **kwargs)
+
+    def counted_repair(*args):
+        counts["repairs"] += 1
+        return repair(*args)
+
+    monkeypatch.setattr(quadrature._Sweep, "__call__", counted_sweep)
+    monkeypatch.setattr(quadrature, "_repair", counted_repair)
+    return counts
+
+
+_FAST_PATH_PARAMS = [(2.0, 2.0), (-0.89, -0.89), (2.0, -0.89), (0.0, 0.0)] + [
+    (float(a), float(b)) for a, b in np.random.default_rng(12).uniform(-0.9, 2.0, (8, 2))
+]
+
+
+@pytest.mark.parametrize("n", [40, 255, 530])
+def test_jacobi_rules_take_two_sweeps(n, monkeypatch):
+    # interior seeds within 7e-5 of the spacing and boundary seeds from
+    # Bessel zeros within 4e-4: Halley's step from them has converged by
+    # the second sweep, which sums the weights (alpha and beta at +-1/2
+    # make the seeds exact, and one sweep does)
+    counts = _count_work(monkeypatch)
+    for alpha, beta in _FAST_PATH_PARAMS:
+        family = Jacobi(alpha, beta)
+        counts.update(sweeps=0, repairs=0)
+        rule = gauss_rule(family, recurrence_coefficients(family, n), n)
+        assert counts == {"sweeps": 2, "repairs": 0}, (alpha, beta)
+    _matches_ql_oracle(family, n, rule)
+
+
+@pytest.mark.parametrize("n", [2, 9, 40, 255, 530, 570])
+def test_chebyshev_rules_take_one_sweep(n, monkeypatch):
+    # the seeds are the nodes
+    counts = _count_work(monkeypatch)
+    gauss_rule(Chebyshev1(), recurrence_coefficients(Chebyshev1(), n), n)
+    assert counts == {"sweeps": 1, "repairs": 0}
+
+
+def test_large_parameters_stay_off_the_repair(monkeypatch):
+    # with interior seeds alone, two points lead to one zero here (10 sweeps)
+    counts = _count_work(monkeypatch)
+    family = Jacobi(20.0, 30.0)
+    rule = gauss_rule(family, recurrence_coefficients(family, 150), 150)
+    assert counts["repairs"] == 0
+    _matches_ql_oracle(family, 150, rule)
 
 
 def test_moments_match_independent_formulas():

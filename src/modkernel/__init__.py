@@ -36,11 +36,9 @@ from .kernels import (
     chebyshev_t_with_derivative,
     generate_weights,
     jacobi_sobolev_poly,
-    kernel_poly,
     laguerre_sobolev_poly,
     modified_kernel,
     quadratic_discriminant,
-    second_kind_eval,
     second_kind_values,
     sobolev_poly,
     sobolev_tables,
@@ -49,7 +47,6 @@ from .kernels import (
 from .pencil import (
     JacobiTypePencil,
     WeightSequence,
-    associated_polynomials,
     associated_values,
     build_pencil_formulas,
     build_pencil_matrices,
@@ -67,8 +64,6 @@ from .polycore import (
     derivative_tables,
     orthonormal_coeffs,
     orthonormal_values,
-    poly_derivative,
-    poly_eval,
     recurrence_coefficients,
 )
 from .quadrature import (
@@ -87,7 +82,5 @@ from .sobolev import (
     jacobi_matrix_weight,
     laguerre_matrix_weight,
     matrix_weight,
-    rank_one_factorization_check,
     sobolev_gram,
-    sobolev_inner,
 )

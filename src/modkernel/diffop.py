@@ -87,10 +87,9 @@ def eigenvalue_laguerre(n: int, c: float) -> float:
     return c + float(n)
 
 
-def _samples(family: FamilySpec, samples) -> np.ndarray:
-    # default: 25 points reaching 8 below the support edge; flat, so the
-    # last axis of every table is the point axis
-    return family.sample_points(25, 8.0) if samples is None else np.asarray(samples, dtype=float).ravel()
+def _samples(family: FamilySpec) -> np.ndarray:
+    # 25 points reaching 8 below the support edge
+    return family.sample_points(25, 8.0)
 
 
 def _image_tables(op: DifferentialOperator, tables: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -123,31 +122,27 @@ def verify_eigen_relation(family: FamilySpec, c: float, n_max: int) -> list[floa
     25 default sample points; each residual is normalized by the larger
     of 1 and the largest magnitude of the right side there.
     """
-    xs = _samples(family, None)
+    xs = _samples(family)
     g = derivative_tables(recurrence_coefficients(family, n_max), n_max, xs, 2)
     rhs = (c + family.spectral_term(np.arange(n_max + 1)))[:, None] * g[0]
     return [float(r) for r in _worst_relative(_image_tables(family_operator(family, c), g, xs)[0], rhs)]
 
 
-def verify_kernel_image(
-    family: FamilySpec, c: float, t0: float, n_max: int, samples=None
-) -> float:
+def verify_kernel_image(family: FamilySpec, c: float, t0: float, n_max: int) -> float:
     """Residual of: operator applied to the scaled kernel sum == plain kernel sum.
 
     Returns the max over n <= n_max and sample points of the
     difference, normalized per n by the larger of 1 and the plain
-    kernel magnitude on the samples.
+    kernel magnitude on the 25 default sample points.
     """
-    xs = _samples(family, samples)
+    xs = _samples(family)
     rc = recurrence_coefficients(family, n_max)
     image = _image_tables(family_operator(family, c), sobolev_tables(family, c, t0, n_max, xs, 2), xs)[0]
     plain = weighted_tables(rc, orthonormal_values(rc, n_max, t0), xs, 0)[0]
     return float(_worst_relative(image, plain).max())
 
 
-def verify_composed_equation(
-    family: FamilySpec, c: float, n_max: int, reading: str = "shifted", samples=None
-) -> float:
+def verify_composed_equation(family: FamilySpec, c: float, n_max: int, reading: str = "shifted") -> float:
     """Residual of the composed fourth-order eigen-relation at the edge.
 
     With q_n the operator image of the scaled kernel sum taken at
@@ -160,7 +155,7 @@ def verify_composed_equation(
     """
     if reading not in ("shifted", "unshifted"):
         raise ValueError("reading must be 'shifted' or 'unshifted'")
-    xs = _samples(family, samples)
+    xs = _samples(family)
     q = _image_tables(family_operator(family, c), sobolev_tables(family, c, family.edge, n_max, xs, 4), xs)
     lhs = _image_tables(family_operator(family.raised(), 0.0), q, xs)[0]
     eigen_family = family.raised() if reading == "shifted" else family

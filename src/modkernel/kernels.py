@@ -12,7 +12,6 @@ specialization t_n(c; x) admits fully explicit coefficients and bounds.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Union
 
@@ -39,11 +38,9 @@ __all__ = [
     "SecondKind",
     "ModifiedKernelSpec",
     "generate_weights",
-    "kernel_poly",
     "modified_kernel",
     "weighted_tables",
     "sobolev_tables",
-    "second_kind_eval",
     "second_kind_values",
     "sobolev_poly",
     "jacobi_sobolev_poly",
@@ -136,13 +133,6 @@ def generate_weights(
     return WeightSequence(vals)
 
 
-def kernel_poly(family: FamilySpec, t: float, n: int, x) -> float:
-    """K_n(t, x) = sum_{k<=n} g_k(t) g_k(x)."""
-    rc = recurrence_coefficients(family, max(n, 1))
-    res = weighted_tables(rc, orthonormal_values(rc, n, t), x, 0)[0, n]
-    return float(res) if np.ndim(x) == 0 else res
-
-
 def modified_kernel(spec: ModifiedKernelSpec, n: int) -> DensePolynomial:
     """u_n = sum_{k<=n} c_k g_k in the monomial coefficient basis.
 
@@ -201,14 +191,6 @@ def second_kind_values(rc: RecurrenceCoefficients, n: int, t) -> np.ndarray:
     for k in range(1, n):
         out[k + 1] = ((ta - rc.b_hat[k]) * out[k] - rc.a_hat[k - 1] * out[k - 1]) / rc.a_hat[k]
     return out
-
-
-def second_kind_eval(family: FamilySpec, rc: RecurrenceCoefficients, n: int, t: float) -> float:
-    """q_n(t); n = 0 returns the identically-zero solution with a warning."""
-    if n == 0:
-        warnings.warn("q_0 is identically zero; a second-kind value needs n >= 1", stacklevel=2)
-        return 0.0
-    return float(second_kind_values(rc, n, t)[n])
 
 
 def sobolev_poly(family: FamilySpec, c: float, t0: float, n: int) -> DensePolynomial:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polycore import DensePolynomial, RecurrenceCoefficients, orthonormal_values
+from .polycore import RecurrenceCoefficients, orthonormal_values
 
 __all__ = [
     "WeightSequence",
@@ -38,7 +38,6 @@ __all__ = [
     "build_pencil_formulas",
     "build_pencil_matrices",
     "path_equivalence_residual",
-    "associated_polynomials",
     "associated_values",
     "five_term_residual",
     "weighted_sum_residual",
@@ -178,30 +177,6 @@ def path_equivalence_residual(rc: RecurrenceCoefficients, w: WeightSequence, n: 
         np.abs(got[:m, :m] - ref) / np.maximum(1.0, np.abs(ref))
         for ref, got in ((t_ref, t_mat), (p_ref, p_mat))
     ]))
-
-
-def associated_polynomials(p: JacobiTypePencil, n: int) -> list[DensePolynomial]:
-    """p_0..p_n in the monomial coefficient basis.
-
-    Row k of the pencil relation is solved for p_{k+2}; the division by
-    gamma_k is safe because the pencil type enforces gamma_k > 0.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n >= 2 and p.n_max < n - 2:
-        raise ValueError(f"pencil bands cover rows 0..{p.n_max}, need 0..{n - 2}")
-    lam = DensePolynomial.identity()
-    polys = [DensePolynomial.constant(1.0)]
-    if n >= 1:
-        polys.append(p.alpha_tilde * lam + p.beta_tilde)
-    for k in range(0, n - 1):
-        s = (p.alpha_band[k] - lam * p.b[k]) * polys[k] + (p.beta_band[k] - lam * p.a[k]) * polys[k + 1]
-        if k >= 1:
-            s = s + (p.beta_band[k - 1] - lam * p.a[k - 1]) * polys[k - 1]
-        if k >= 2:
-            s = s + p.gamma_band[k - 2] * polys[k - 2]
-        polys.append((-1.0 / p.gamma_band[k]) * s)
-    return polys
 
 
 def associated_values(p: JacobiTypePencil, lambdas, n: int) -> np.ndarray:

@@ -33,8 +33,6 @@ __all__ = [
     "LaguerreNeg",
     "Chebyshev1",
     "FamilySpec",
-    "poly_eval",
-    "poly_derivative",
     "recurrence_coefficients",
     "derivative_tables",
     "orthonormal_values",
@@ -118,16 +116,6 @@ class DensePolynomial:
             return DensePolynomial.zero()
         return DensePolynomial(self.coeffs[1:] * np.arange(1, self.coeffs.size))
 
-    def shifted(self, h: float) -> "DensePolynomial":
-        """Compose with a shift: returns q with q(x) = p(x + h)."""
-        # synthetic division by (x - (-h)), repeated
-        out = self.coeffs.copy()
-        n = out.size
-        for start in range(1, n):
-            for k in range(n - 1, start - 1, -1):
-                out[k - 1] += h * out[k]
-        return DensePolynomial(out)
-
     def _binop(self, other, sign: float) -> "DensePolynomial":
         oc = other.coeffs if isinstance(other, DensePolynomial) else np.atleast_1d(np.asarray(other, float))
         n = max(self.coeffs.size, oc.size)
@@ -163,16 +151,6 @@ class DensePolynomial:
 
     def __repr__(self) -> str:
         return f"DensePolynomial(degree={self.degree}, coeffs={self.coeffs!r})"
-
-
-def poly_eval(p: DensePolynomial, x: float) -> float:
-    """Value of p at x (Horner scheme)."""
-    return p(x)
-
-
-def poly_derivative(p: DensePolynomial) -> DensePolynomial:
-    """Coefficient-wise derivative; the degree drops by one."""
-    return p.derivative()
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ in the last sweep and corrected to first order for that sweep's step,
 so each weight is accurate relative to itself, the small tail weights
 included.  A sweep is O(N^2) numpy work and O(N) memory, and costs the
 same however close the seeds are, so the seeds set a rule's cost: a
-Chebyshev rule takes one sweep, a Jacobi rule with parameters up to 2
-takes two (its seeds near both ends come from Bessel zeros; Hale &
-Townsend, SIAM J. Sci. Comput. 35 (2013), §3.2) and a LaguerreNeg rule
-three.  A fresh Jacobi rule at N = 255 takes about 5 ms on one core of
+Chebyshev rule takes one sweep, as does every one-point rule, a Jacobi
+rule with parameters up to 2 takes two (its seeds near both ends come
+from Bessel zeros; Hale & Townsend, SIAM J. Sci. Comput. 35 (2013),
+§3.2) and a LaguerreNeg rule three.  A fresh Jacobi rule at N = 255 takes about 5 ms on one core of
 a 2-core x86 machine.
 
 The rule certifies itself: N converged zeros that are separated and
@@ -261,7 +261,9 @@ def _newton_rule(family: FamilySpec, rc: RecurrenceCoefficients, n: int):
     lo = max(family.support[0], float((b - radius).min()))
     hi = min(family.support[1], float((b + radius).max()))
     sweep = _Sweep(family, rc, n, lo, hi)
-    seeds = family.gauss_seeds(n)
+    # clipped like every later iterate: at n = 1 the interval is the one
+    # zero b_0, which the first sweep then confirms
+    seeds = np.clip(family.gauss_seeds(n), lo, hi)
     spacing = _spacing(seeds) if n > 1 else np.array([hi - lo])
     nodes, weights = _newton(sweep, seeds, spacing, lo, hi)
     if not _certified(nodes, weights, spacing):

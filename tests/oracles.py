@@ -5,7 +5,9 @@ classical values come from terminating hypergeometric sums or
 trigonometric closed forms with stdlib gamma functions, recurrence
 coefficients from Gram-Schmidt on moment matrices, and derivatives from
 finite differences.  The exceptions are earlier, slower forms of package
-routines, kept as the references their faster forms must reproduce.
+routines, kept as the references their faster forms must reproduce, and
+coefficient-space or written-out forms the package does not ship: the
+plain kernel, the pencil polynomials and the Sobolev weight's column.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import math
 
 import numpy as np
 
-from modkernel.polycore import DensePolynomial
+from modkernel.diffop import apply as diffop_apply
+from modkernel.polycore import DensePolynomial, LaguerreNeg, orthonormal_values, recurrence_coefficients
 
 
 def jacobi_poly_value(alpha: float, beta: float, n: int, x: float) -> float:
@@ -317,14 +320,72 @@ def modified_kernel_accumulation(rc, c, n: int):
     return acc
 
 
+def kernel_poly(family, t: float, n: int, x):
+    """K_n(t, x) = sum_{k<=n} g_k(t) g_k(x), as a plain sum of value tables."""
+    rc = recurrence_coefficients(family, max(n, 1))
+    res = orthonormal_values(rc, n, t) @ orthonormal_values(rc, n, np.atleast_1d(np.asarray(x, dtype=float)))
+    return float(res[0]) if np.ndim(x) == 0 else res
+
+
+def matrix_weight_column(family, c: float):
+    """The column v = (c, p1, p2) of the rank-one Sobolev weight, written out per family.
+
+    Jacobi type: (c, (alpha+beta+2) x + alpha - beta, x^2 - 1); LaguerreNeg:
+    (c, alpha + 1 + x, x).  The hand-written side of the check that the
+    weight the package builds from ``family_operator`` is this column.
+    """
+    if isinstance(family, LaguerreNeg):
+        p1, p2 = [family.alpha + 1.0, 1.0], [0.0, 1.0]
+    else:
+        p1, p2 = [family.alpha - family.beta, family.alpha + family.beta + 2.0], [-1.0, 0.0, 1.0]
+    return DensePolynomial.constant(c), DensePolynomial(p1), DensePolynomial(p2)
+
+
+def column_image(v, f: DensePolynomial, x: np.ndarray) -> np.ndarray:
+    """v(x) . (f(x), f'(x), f''(x)), one polynomial at a time."""
+    d1 = f.derivative()
+    return v[0](x) * f(x) + v[1](x) * d1(x) + v[2](x) * d1.derivative()(x)
+
+
+def rank_one_factorization_check(wgt, sample_xs, seed: int = 20260808) -> bool:
+    """Confirm M(x) = v(x) v(x)^T and the operator identity for the written-out v.
+
+    The 3x3 entries are assembled as polynomial products and compared
+    against the outer product of values at each sample; then
+    v . (f, f', f'') is compared with ``wgt.operator`` applied to five
+    seeded random polynomials in coefficient space.
+    """
+    v = matrix_weight_column(wgt.family, wgt.c)
+    xs = np.asarray(sample_xs, dtype=float)
+    prods = [[v[i] * v[j] for j in range(3)] for i in range(3)]
+    for x in xs:
+        vv = np.array([p(x) for p in v])
+        outer = np.outer(vv, vv)
+        entry = np.array([[prods[i][j](x) for j in range(3)] for i in range(3)])
+        scale = max(1.0, float(np.abs(outer).max()))
+        if np.abs(entry - outer).max() > 1e-12 * scale:
+            return False
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        deg = int(rng.integers(0, 9))
+        f = DensePolynomial(rng.standard_normal(deg + 1))
+        lhs = column_image(v, f, xs)
+        rhs = diffop_apply(wgt.operator, f)(xs)
+        if np.abs(lhs - rhs).max() > 1e-12 * max(1.0, float(np.abs(rhs).max())):
+            return False
+    return True
+
+
 def gram_by_operator_images(wgt, polys, rule) -> np.ndarray:
-    """Gram matrix from one ``operator_image`` per polynomial.
+    """Gram matrix from the written-out column v applied to one polynomial at a time.
 
     The rows ``gram_matrix`` evaluated one polynomial at a time before it
-    ran one stacked Horner pass; the nodes lie inside the support, where
-    the (t0 - x) factor is nonnegative.
+    ran one stacked Horner pass, with v from ``matrix_weight_column``
+    rather than the weight's operator; the nodes lie inside the support,
+    where the (t0 - x) factor is nonnegative.
     """
-    rows = np.array([wgt.operator_image(p, rule.nodes) for p in polys])
+    v = matrix_weight_column(wgt.family, wgt.c)
+    rows = np.array([column_image(v, p, rule.nodes) for p in polys])
     return (rows * (rule.weights * (wgt.t0 - rule.nodes))) @ rows.T
 
 
@@ -334,6 +395,31 @@ def fd1(f, x: float, h: float = 1e-6) -> float:
 
 def fd2(f, x: float, h: float = 1e-4) -> float:
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+
+
+def associated_polynomials(p, n: int) -> list:
+    """p_0..p_n of a pencil in the monomial coefficient basis.
+
+    Row k of the pencil relation is solved for p_{k+2} in coefficient
+    space; the division by gamma_k is safe because the pencil type
+    enforces gamma_k > 0.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n >= 2 and p.n_max < n - 2:
+        raise ValueError(f"pencil bands cover rows 0..{p.n_max}, need 0..{n - 2}")
+    lam = DensePolynomial.identity()
+    polys = [DensePolynomial.constant(1.0)]
+    if n >= 1:
+        polys.append(p.alpha_tilde * lam + p.beta_tilde)
+    for k in range(0, n - 1):
+        s = (p.alpha_band[k] - lam * p.b[k]) * polys[k] + (p.beta_band[k] - lam * p.a[k]) * polys[k + 1]
+        if k >= 1:
+            s = s + (p.beta_band[k - 1] - lam * p.a[k - 1]) * polys[k - 1]
+        if k >= 2:
+            s = s + p.gamma_band[k - 2] * polys[k - 2]
+        polys.append((-1.0 / p.gamma_band[k]) * s)
+    return polys
 
 
 def associated_values_loop(p, lambdas, n: int) -> np.ndarray:

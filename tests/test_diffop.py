@@ -123,16 +123,6 @@ def test_relations_hold_beyond_the_coefficient_cap(family, n_max):
     assert verify_composed_equation(family, 1.0, n_max) <= 1e-9
 
 
-@pytest.mark.parametrize("check", [verify_kernel_image, verify_composed_equation])
-def test_sample_shape_does_not_change_the_residual(check):
-    # each degree is normalized over all sample points, whatever their shape
-    fam = Jacobi(0.5, -0.3)
-    args = (fam, 1.0, 1.5, 12) if check is verify_kernel_image else (fam, 1.0, 12)
-    xs = np.linspace(-2.0, 1.0, 12)
-    assert check(*args, samples=xs.reshape(3, 4)) == check(*args, samples=xs)
-    assert check(*args, samples=0.3) == check(*args, samples=[0.3])
-
-
 class TestEdgeImageIsShiftedFamily:
     def test_jacobi_edge_kernel_is_shifted_jacobi(self):
         # at t0 = 1 the operator image is proportional to the next family up

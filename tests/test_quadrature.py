@@ -202,6 +202,16 @@ def test_chebyshev_rules_take_one_sweep(n, monkeypatch):
     assert counts == {"sweeps": 1, "repairs": 0}
 
 
+@pytest.mark.parametrize("family", [Chebyshev1(), Jacobi(0.5, -0.3), LaguerreNeg(0.5)])
+def test_one_point_rules_take_one_sweep(family, monkeypatch):
+    # Gershgorin's interval is the zero b_0 itself, and the seed starts on it
+    counts = _count_work(monkeypatch)
+    rc = recurrence_coefficients(family, 1)
+    rule = gauss_rule(family, rc, 1)
+    assert counts == {"sweeps": 1, "repairs": 0}
+    assert rule.nodes[0] == rc.b_hat[0] and rule.weights[0] == pytest.approx(rc.mu0, rel=1e-15)
+
+
 def test_large_parameters_stay_off_the_repair(monkeypatch):
     # with interior seeds alone, two points lead to one zero here (10 sweeps)
     counts = _count_work(monkeypatch)

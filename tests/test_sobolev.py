@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from modkernel.diffop import family_operator
 from modkernel.kernels import jacobi_sobolev_poly, laguerre_sobolev_poly, sobolev_poly
 from modkernel.polycore import (
     DensePolynomial,
@@ -14,32 +16,36 @@ from modkernel.polycore import (
 )
 from modkernel.quadrature import family_rule, gauss_rule, integrate
 from modkernel.sobolev import (
+    MatrixWeight,
     gram_matrix,
     gram_offdiagonal_measures,
     jacobi_matrix_weight,
     laguerre_matrix_weight,
     matrix_weight,
-    rank_one_factorization_check,
     sobolev_gram,
-    sobolev_inner,
 )
 
-from oracles import gram_by_operator_images
+from oracles import gram_by_operator_images, matrix_weight_column, rank_one_factorization_check
+
+
+def column(wgt):
+    """The weight's column v = (p0, p1, p2), read off its operator."""
+    return (wgt.operator.p0, wgt.operator.p1, wgt.operator.p2)
 
 
 class TestMatrixWeight:
     def test_jacobi_column_values(self):
-        wgt = jacobi_matrix_weight(0.5, -0.3, 2.0, 1.5)
+        v = column(jacobi_matrix_weight(0.5, -0.3, 2.0, 1.5))
         # at x = 1 the second-derivative coefficient vanishes
-        assert wgt.v[2](1.0) == pytest.approx(0.0, abs=1e-15)
-        assert wgt.v[2](-1.0) == pytest.approx(0.0, abs=1e-15)
-        assert wgt.v[0](0.3) == 2.0
-        assert wgt.v[1](1.0) == pytest.approx((0.5 + (-0.3) + 2.0) * 1.0 + 0.5 - (-0.3))
+        assert v[2](1.0) == pytest.approx(0.0, abs=1e-15)
+        assert v[2](-1.0) == pytest.approx(0.0, abs=1e-15)
+        assert v[0](0.3) == 2.0
+        assert v[1](1.0) == pytest.approx((0.5 + (-0.3) + 2.0) * 1.0 + 0.5 - (-0.3))
 
     def test_laguerre_column_values(self):
-        wgt = laguerre_matrix_weight(1.2, 0.7, 0.0)
-        assert wgt.v[1](0.0) == pytest.approx(1.2 + 1.0)
-        assert wgt.v[2](0.0) == 0.0
+        v = column(laguerre_matrix_weight(1.2, 0.7, 0.0))
+        assert v[1](0.0) == pytest.approx(1.2 + 1.0)
+        assert v[2](0.0) == 0.0
 
     def test_edge_validation(self):
         with pytest.raises(ValueError):
@@ -54,24 +60,43 @@ class TestMatrixWeight:
         assert rank_one_factorization_check(wgt, np.linspace(-1, 1, 9))
         wgt = laguerre_matrix_weight(0.7, 1.3, 0.5)
         assert rank_one_factorization_check(wgt, np.linspace(-9, 0, 9))
+        wgt = matrix_weight(Chebyshev1(), 0.4, 2.3)
+        assert rank_one_factorization_check(wgt, np.linspace(-1, 1, 9))
 
     def test_rank_one_spectrum(self):
-        wgt = jacobi_matrix_weight(0.5, -0.3, 2.0, 1.5)
+        v = column(jacobi_matrix_weight(0.5, -0.3, 2.0, 1.5))
         for x in (-0.8, 0.1, 0.9):
-            vv = np.array([p(x) for p in wgt.v])
+            vv = np.array([p(x) for p in v])
             m = np.outer(vv, vv)
             eig = np.sort(np.linalg.eigvalsh(m))
             np.testing.assert_allclose(eig[:2], 0.0, atol=1e-12 * max(1.0, eig[2]))
             assert eig[2] == pytest.approx(float(vv @ vv), rel=1e-12)
 
+    @pytest.mark.parametrize("family,t0", [(Jacobi(0.5, -0.3), 1.5), (Chebyshev1(), 1.0), (LaguerreNeg(0.7), 0.5)])
+    def test_operator_is_the_written_out_column(self, family, t0):
+        # the weight takes v from the family operator; the tests' oracle
+        # writes v out per family, and the two must be the same polynomials
+        wgt = matrix_weight(family, 1.3, t0)
+        assert wgt.family == family and wgt.t0 == t0 and wgt.c == 1.3
+        for got, ref in zip(column(wgt), matrix_weight_column(family, 1.3)):
+            assert np.array_equal(got.coeffs, ref.coeffs)
+        assert rank_one_factorization_check(wgt, family.sample_points(9, 9.0))
+
+    def test_factorization_check_rejects_another_operator(self):
+        # the operator of a neighbouring family fails the written-out column
+        wgt = MatrixWeight(family_operator(Jacobi(0.6, -0.3), 2.0), Jacobi(0.5, -0.3), 1.5, 2.0)
+        assert not rank_one_factorization_check(wgt, np.linspace(-1, 1, 9))
+
 
 class TestSobolevInner:
+    """Inner products of polynomials, read off ``gram_matrix``."""
+
     def test_constant_case_positive(self):
         alpha, beta, c, t0 = 0.5, -0.3, 2.0, 1.5
         wgt = jacobi_matrix_weight(alpha, beta, c, t0)
         rule = family_rule(Jacobi(alpha, beta), 6)
         p0 = jacobi_sobolev_poly(alpha, beta, c, t0, 0)
-        val = sobolev_inner(wgt, p0, p0, rule)
+        val = gram_matrix(wgt, [p0], rule)[0, 0]
         # constant case reduces to (g0(t0) g0)^2 * integral (t0 - x) w
         rc = recurrence_coefficients(Jacobi(alpha, beta), 2)
         mass = integrate(rule, lambda x: (t0 - x))
@@ -92,7 +117,7 @@ class TestSobolevInner:
         for _ in range(6):
             f = DensePolynomial(rng.standard_normal(7))
             g = DensePolynomial(rng.standard_normal(9))
-            got = sobolev_inner(wgt, f, g, rule)
+            got = gram_matrix(wgt, [f, g], rule)[0, 1]
             ref = float(
                 np.sum(rule.weights * (t0 - rule.nodes) * op_apply(op, f)(rule.nodes) * op_apply(op, g)(rule.nodes))
             )
@@ -102,16 +127,18 @@ class TestSobolevInner:
         wgt = laguerre_matrix_weight(0.5, 1.0, 0.0)
         rule = family_rule(LaguerreNeg(0.5), 18)
         rng = np.random.default_rng(23)
-        for _ in range(100):
-            f = DensePolynomial(rng.standard_normal(int(rng.integers(1, 16))))
-            assert sobolev_inner(wgt, f, f, rule) >= -1e-12
+        polys = [DensePolynomial(rng.standard_normal(int(rng.integers(1, 16)))) for _ in range(100)]
+        gram = gram_matrix(wgt, polys, rule)
+        assert np.diag(gram).min() >= -1e-12
+        eig = np.linalg.eigvalsh(gram)
+        assert eig.min() >= -1e-12 * eig.max()
 
     def test_degree_precondition(self):
         wgt = jacobi_matrix_weight(0.0, 0.0, 1.0, 1.0)
         rule = family_rule(Jacobi(0.0, 0.0), 3)
         f = DensePolynomial(np.ones(7))
         with pytest.raises(ValueError, match="degree"):
-            sobolev_inner(wgt, f, f, rule)
+            gram_matrix(wgt, [f], rule)
 
     def test_roundoff_past_edge_clamps_with_warning(self):
         from modkernel.quadrature import QuadratureRule
@@ -122,9 +149,11 @@ class TestSobolevInner:
                               weights=np.array([0.5, 0.5, 1e-20]),
                               exact_degree=5, weight_id=Jacobi(0.0, 0.0))
         f = DensePolynomial([1.0, 1.0])
-        with pytest.warns(UserWarning, match="clamp"):
-            val = sobolev_inner(wgt, f, f, rule)
+        with pytest.warns(UserWarning, match="clamp") as record:
+            val = gram_matrix(wgt, [f], rule)[0, 0]
         assert np.isfinite(val)
+        # the warning points at the caller of gram_matrix
+        assert record[0].filename == __file__
 
 
 class TestChebyshevDiagonal:
@@ -132,25 +161,24 @@ class TestChebyshevDiagonal:
         # derived ahead of time from the tilted-kernel diagonal closed form
         # a_hat[n] g_n(1) g_{n+1}(1), and confirmed here by raw quadrature
         c, t0 = 1.0, 1.0
-        wgt = jacobi_matrix_weight(-0.5, -0.5, c, t0)
         fam = Chebyshev1()
+        wgt = matrix_weight(fam, c, t0)
         rc = recurrence_coefficients(fam, 23)
         rule = gauss_rule(fam, rc, 23)
         gt = orthonormal_values(rc, 22, t0)
+        gram = gram_matrix(wgt, [sobolev_poly(fam, c, t0, n) for n in range(21)], rule)
         for n in range(21):
-            p = jacobi_sobolev_poly(-0.5, -0.5, c, t0, n)
-            val = sobolev_inner(wgt, p, p, rule)
             closed = rc.a_hat[n] * gt[n] * gt[n + 1]
             assert closed == pytest.approx(1.0 / math.pi, rel=1e-12)
-            assert val == pytest.approx(1.0 / math.pi, rel=1e-10)
+            assert gram[n, n] == pytest.approx(1.0 / math.pi, rel=1e-10)
 
     def test_cross_terms_vanish(self):
         c, t0 = 1.0, 1.0
-        wgt = jacobi_matrix_weight(-0.5, -0.5, c, t0)
         fam = Chebyshev1()
+        wgt = matrix_weight(fam, c, t0)
         rc = recurrence_coefficients(fam, 23)
         rule = gauss_rule(fam, rc, 23)
-        polys = [jacobi_sobolev_poly(-0.5, -0.5, c, t0, n) for n in range(21)]
+        polys = [sobolev_poly(fam, c, t0, n) for n in range(21)]
         gram = gram_matrix(wgt, polys, rule)
         off = np.abs(gram - np.diag(np.diag(gram))).max()
         assert off <= 1e-9 * np.diag(gram).min()
@@ -158,6 +186,7 @@ class TestChebyshevDiagonal:
 
 class TestGramCertification:
     def test_entries_match_pairwise_inner(self):
+        # each entry as the Gram matrix of its pair alone, padded to a lower top degree
         alpha, beta, c, t0 = 0.5, -0.3, 2.0, 1.5
         wgt = jacobi_matrix_weight(alpha, beta, c, t0)
         rule = family_rule(Jacobi(alpha, beta), 8)
@@ -165,7 +194,8 @@ class TestGramCertification:
         gram = gram_matrix(wgt, polys, rule)
         for i in range(6):
             for j in range(6):
-                assert gram[i, j] == pytest.approx(sobolev_inner(wgt, polys[i], polys[j], rule), rel=1e-12, abs=1e-12)
+                pair = gram_matrix(wgt, [polys[i], polys[j]], rule)[0, 1]
+                assert gram[i, j] == pytest.approx(pair, rel=1e-12, abs=1e-12)
 
     def test_one_by_one(self):
         wgt = laguerre_matrix_weight(0.0, 1.0, 0.0)
@@ -208,6 +238,22 @@ class TestGramCertification:
         assert meas["diag_min"] > 0
         assert meas["normalized"] <= 1e-9
 
+    def test_normalized_measure_survives_a_graded_diagonal(self):
+        # G_nn G_mm = 1e400 overflows; sqrt(G_nn) sqrt(G_mm) = 1e200 does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            meas = gram_offdiagonal_measures(np.array([[1e200, 1e190], [1e190, 1e200]]))
+        assert meas["normalized"] == pytest.approx(1e-10, rel=1e-15)
+
+    def test_chebyshev_beyond_the_edge_certifies_without_warning(self):
+        # a diagonal up to 3e166: every pair now counts in the certificate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gram = sobolev_gram(Chebyshev1(), 10.0, 1.5, 200)
+            meas = gram_offdiagonal_measures(gram)
+        assert np.diag(gram).max() > 1e166
+        assert 0.0 < meas["normalized"] <= 1e-9
+
     def test_rule_degree_guard(self):
         wgt = jacobi_matrix_weight(0.0, 0.0, 1.0, 1.0)
         rule = family_rule(Jacobi(0.0, 0.0), 4)
@@ -217,7 +263,7 @@ class TestGramCertification:
 
 
 class TestStackedGramOracle:
-    """``gram_matrix`` against one ``operator_image`` per polynomial, bit for bit."""
+    """``gram_matrix`` against the written-out column applied per polynomial, bit for bit."""
 
     CASES = [
         (Jacobi(0.5, -0.3), 1.0, 1.5),

@@ -1,11 +1,13 @@
-"""The acceptance battery: each of the 12 criteria defined once.
+"""The acceptance battery and the tolerance of every certificate.
 
-A criterion is a name, a reference tag, a tolerance, an optional time
-budget and a function that measures it with library calls.  Both
-``modkernel selftest`` and the test suite run the criteria through
-``evaluate``, which passes a criterion only when the measured value is
-within the tolerance, its side conditions hold and it finished within
-its budget.
+``TOLERANCES`` maps each reference tag to its tolerance; the 12 criteria
+and the subcommands' checks all read it there, so a tolerance is stated
+once.  A criterion is a name, a reference tag, an optional time budget
+and a function that measures it with library calls.  Both ``modkernel
+selftest`` and the test suite run the criteria through ``evaluate``,
+which passes a criterion only when the measured value is within the
+tolerance, its side conditions hold and it finished within its budget.
+Every reading, of a criterion or of a subcommand, is one ``Check``.
 """
 
 from __future__ import annotations
@@ -39,9 +41,28 @@ from .polycore import Chebyshev1, Jacobi, LaguerreNeg, recurrence_coefficients
 from .quadrature import gauss_rule, moment_residual
 from .sobolev import gram_offdiagonal_measures, sobolev_gram
 
-__all__ = ["CRITERIA", "DEFAULT_SEED", "Criterion", "Measurement", "Verdict", "evaluate"]
+__all__ = ["CRITERIA", "DEFAULT_SEED", "TOLERANCES", "Check", "Criterion", "Measurement", "check", "evaluate"]
 
 DEFAULT_SEED = 20260808
+
+#: the tolerance of each reference tag; a tag of tolerance 0 is a
+#: pass/fail reading, 0 when it holds
+TOLERANCES = {
+    "pencil-solution-identity": 1e-9,
+    "embordering-vs-band-formulas": 1e-12,
+    "five-term-recurrence": 1e-10,
+    "pencil-band-signs": 0.0,
+    "sobolev-orthogonality": 1e-9,
+    "sobolev-gram-diagonal": 0.0,
+    "explicit-low-order-coefficients": 1e-12,
+    "value-and-slope-bounds": 0.0,
+    "second-order-operator-eigenvalues": 1e-11,
+    "operator-strips-eigenvalue-scaling": 1e-10,
+    "fourth-order-composition": 1e-9,
+    "bessel-integral-representation": 1e-5,
+    "quadratic-discriminant-sign": 0.0,
+    "moment-exactness": 1e-10,
+}
 
 
 class Measurement(NamedTuple):
@@ -56,37 +77,52 @@ class Measurement(NamedTuple):
 class Criterion:
     name: str
     ref: str
-    tolerance: float
     measure: Callable[[int], Measurement]
     budget_seconds: float | None = None
 
+    @property
+    def tolerance(self) -> float:
+        return TOLERANCES[self.ref]
+
 
 @dataclass(frozen=True)
-class Verdict:
-    criterion: Criterion
+class Check:
+    """One reading against the tolerance of its reference tag."""
+
+    name: str
+    ref: str
     measured: float
+    tolerance: float
     passed: bool
     details: dict
 
     @property
     def summary(self) -> str:
-        return (f"{'PASS' if self.passed else 'FAIL'} {self.criterion.name}: "
-                f"measured={self.measured:.3e} tolerance={self.criterion.tolerance:.1e}")
+        return (f"{'PASS' if self.passed else 'FAIL'} {self.name}: "
+                f"measured={self.measured:.3e} tolerance={self.tolerance:.1e}")
+
+
+def check(name: str, ref: str, measured: float, passed: bool | None = None, **details) -> Check:
+    """A reading of tag ``ref``; unless told otherwise it passes when within the tag's tolerance (NaN fails)."""
+    tolerance = TOLERANCES[ref]
+    if passed is None:
+        passed = measured <= tolerance
+    return Check(name, ref, float(measured), tolerance, bool(passed), details)
 
 
 #: the battery, in criterion order; filled by the ``_criterion`` decorator
 CRITERIA: list[Criterion] = []
 
 
-def _criterion(name: str, ref: str, tolerance: float, budget_seconds: float | None = None):
+def _criterion(name: str, ref: str, budget_seconds: float | None = None):
     def register(measure: Callable[[int], Measurement]) -> Callable[[int], Measurement]:
-        CRITERIA.append(Criterion(name, ref, tolerance, measure, budget_seconds))
+        CRITERIA.append(Criterion(name, ref, measure, budget_seconds))
         return measure
 
     return register
 
 
-def evaluate(criterion: Criterion, seed: int = DEFAULT_SEED) -> Verdict:
+def evaluate(criterion: Criterion, seed: int = DEFAULT_SEED) -> Check:
     """Run one criterion; its details gain ``elapsed`` and any ``budget_seconds``."""
     start = time.perf_counter()
     m = criterion.measure(seed)
@@ -96,11 +132,11 @@ def evaluate(criterion: Criterion, seed: int = DEFAULT_SEED) -> Verdict:
     if criterion.budget_seconds is not None:
         details["budget_seconds"] = criterion.budget_seconds
         in_budget = elapsed <= criterion.budget_seconds
-    passed = bool(m.holds and m.value <= criterion.tolerance and in_budget)
-    return Verdict(criterion=criterion, measured=float(m.value), passed=passed, details=details)
+    passed = m.holds and m.value <= criterion.tolerance and in_budget
+    return check(criterion.name, criterion.ref, m.value, passed, **details)
 
 
-@_criterion("criterion-01-recurrence-equivalence", "pencil-solution-identity", 1e-9, budget_seconds=10.0)
+@_criterion("criterion-01-recurrence-equivalence", "pencil-solution-identity", budget_seconds=10.0)
 def criterion_01_recurrence_equivalence(seed: int) -> Measurement:
     # 3 families x 4 weight sequences, orders up to 25
     readings = []
@@ -124,7 +160,7 @@ def criterion_01_recurrence_equivalence(seed: int) -> Measurement:
     return Measurement(np.max(readings), {})
 
 
-@_criterion("criterion-02-path-equality", "embordering-vs-band-formulas", 1e-12, budget_seconds=1.0)
+@_criterion("criterion-02-path-equality", "embordering-vs-band-formulas", budget_seconds=1.0)
 def criterion_02_path_equality_at_200(seed: int) -> Measurement:
     readings = []
     for family, family_seed in ((Chebyshev1(), seed), (Jacobi(0.5, -0.3), seed + 1)):
@@ -142,20 +178,20 @@ def _gram_sweep(cases) -> Measurement:
                        {"vs_min_diagonal": worst_vs_min, "diagonal_positive": diag_ok}, holds=diag_ok)
 
 
-@_criterion("criterion-03-jacobi-gram", "sobolev-orthogonality", 1e-9, budget_seconds=5.0)
+@_criterion("criterion-03-jacobi-gram", "sobolev-orthogonality", budget_seconds=5.0)
 def criterion_03_jacobi_sobolev_orthogonality(seed: int) -> Measurement:
     grid = (-0.5, 0.0, 1.7)
     return _gram_sweep([(Jacobi(a, b), c, t0) for a in grid for b in grid
                         for c in (0.1, 1.0, 10.0) for t0 in (1.0, 2.0)])
 
 
-@_criterion("criterion-04-laguerre-gram", "sobolev-orthogonality", 1e-9, budget_seconds=5.0)
+@_criterion("criterion-04-laguerre-gram", "sobolev-orthogonality", budget_seconds=5.0)
 def criterion_04_laguerre_sobolev_orthogonality(seed: int) -> Measurement:
     return _gram_sweep([(LaguerreNeg(a), c, t0) for a in (0.0, 0.5, 3.0)
                         for c in (0.1, 1.0, 10.0) for t0 in (0.0, 1.0)])
 
 
-@_criterion("criterion-05-chebyshev-fixtures", "explicit-low-order-coefficients", 1e-12)
+@_criterion("criterion-05-chebyshev-fixtures", "explicit-low-order-coefficients")
 def criterion_05_chebyshev_explicit_fixtures(seed: int) -> Measurement:
     # explicit low-order coefficients and the degree-1 root, through both the
     # Chebyshev recurrence and its Jacobi(-1/2, -1/2) form; each error is the
@@ -176,13 +212,13 @@ def criterion_05_chebyshev_explicit_fixtures(seed: int) -> Measurement:
     return Measurement(np.max(readings), {})
 
 
-@_criterion("criterion-06-chebyshev-bounds", "value-and-slope-bounds", 0.0, budget_seconds=2.0)
+@_criterion("criterion-06-chebyshev-bounds", "value-and-slope-bounds", budget_seconds=2.0)
 def criterion_06_chebyshev_bounds(seed: int) -> Measurement:
     ok = all(chebyshev_bounds_check(c, n, 10001)[2] for c in (0.01, 1.0, 100.0) for n in range(21))
     return Measurement(0.0 if ok else 1.0, {})
 
 
-@_criterion("criterion-07-eigen-relations", "second-order-operator-eigenvalues", 1e-11)
+@_criterion("criterion-07-eigen-relations", "second-order-operator-eigenvalues")
 def criterion_07_eigen_relations(seed: int) -> Measurement:
     cases = (
         (Jacobi(0.5, -0.3), 2.0), (Jacobi(-0.5, -0.5), 1.0), (Jacobi(1.7, 0.0), 0.1),
@@ -192,7 +228,7 @@ def criterion_07_eigen_relations(seed: int) -> Measurement:
     return Measurement(np.max([np.max(verify_eigen_relation(f, c, 15)) for f, c in cases]), {})
 
 
-@_criterion("criterion-08-kernel-image", "operator-strips-eigenvalue-scaling", 1e-10)
+@_criterion("criterion-08-kernel-image", "operator-strips-eigenvalue-scaling")
 def criterion_08_kernel_image_identities(seed: int) -> Measurement:
     cases = (
         (Jacobi(0.5, -0.3), 2.0, 1.5), (Chebyshev1(), 1.0, 1.0),
@@ -201,7 +237,7 @@ def criterion_08_kernel_image_identities(seed: int) -> Measurement:
     return Measurement(np.max([verify_kernel_image(f, c, t0, 12) for f, c, t0 in cases]), {})
 
 
-@_criterion("criterion-09-composed-equation", "fourth-order-composition", 1e-9)
+@_criterion("criterion-09-composed-equation", "fourth-order-composition")
 def criterion_09_composed_equations(seed: int) -> Measurement:
     cases = ((Jacobi(-0.5, -0.5), 1.0), (Jacobi(0.5, -0.3), 2.0), (LaguerreNeg(0.0), 2.0), (LaguerreNeg(1.5), 0.3))
     worst = np.max([verify_composed_equation(f, c, 10) for f, c in cases])
@@ -212,14 +248,14 @@ def criterion_09_composed_equations(seed: int) -> Measurement:
     return Measurement(worst, details, holds=unshifted > 1e-2)
 
 
-@_criterion("criterion-10-integral-representation", "bessel-integral-representation", 1e-5, budget_seconds=60.0)
+@_criterion("criterion-10-integral-representation", "bessel-integral-representation", budget_seconds=60.0)
 def criterion_10_integral_representation(seed: int) -> Measurement:
     worst = np.max([integral_rep_errors(alpha, c, 6, (-0.5, -1.0, -5.0)).max()
                     for alpha in (0.0, 0.5, 2.0) for c in (1, 2, 3)])
     return Measurement(worst, {})
 
 
-@_criterion("criterion-11-discriminant-witness", "quadratic-discriminant-sign", 0.0)
+@_criterion("criterion-11-discriminant-witness", "quadratic-discriminant-sign")
 def criterion_11_discriminant_witnesses(seed: int) -> Measurement:
     # negative degree-2 discriminants witness non-orthogonality
     d_cheb = quadratic_discriminant(math.pi * sobolev_poly(Chebyshev1(), 0.1, 1.0, 2))
@@ -233,7 +269,7 @@ def criterion_11_discriminant_witnesses(seed: int) -> Measurement:
     return Measurement(0.0 if (d_cheb < 0.0 and found_c is not None) else 1.0, details)
 
 
-@_criterion("criterion-12-quadrature-exactness", "moment-exactness", 1e-10)
+@_criterion("criterion-12-quadrature-exactness", "moment-exactness")
 def criterion_12_quadrature_exactness(seed: int) -> Measurement:
     readings = []
     for family in (Jacobi(0.5, -0.3), LaguerreNeg(0.5), Chebyshev1()):

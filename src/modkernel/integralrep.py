@@ -67,10 +67,12 @@ _EXP_LIMIT = math.log(np.finfo(float).max)
 # the Bessel series stops at the first term below _SERIES_TOL times its
 # largest partial sum; the outer cutoff T leaves a tail below _TAIL_REL
 # times the integrand peak; an evaluation whose Bessel round-off estimate
-# exceeds _BUDGET_REL of the result scale is refused
+# exceeds _BUDGET_REL of the result scale is refused; bessel_j refuses
+# arguments beyond _ZMAX
 _SERIES_TOL = 1e-15
 _TAIL_REL = 1e-16
 _BUDGET_REL = 1e-3
+_ZMAX = 30.0
 # Gauss rule sizes of the outer integral and of the inner (polynomial) one
 _OUTER_RULE_SIZE = 140
 _INNER_RULE_SIZE = 24
@@ -163,10 +165,10 @@ def _bessel_reg(nu: float, w, series_tol: float) -> tuple[np.ndarray, np.ndarray
     return total.reshape(wa.shape), est.reshape(wa.shape)
 
 
-def bessel_j(nu: float, z, series_tol: float = _SERIES_TOL, zmax: float = 30.0):
+def bessel_j(nu: float, z):
     """Bessel function of the first kind by its ascending series.
 
-    Valid for nu > -1 and 0 <= z <= zmax; beyond that range
+    Valid for nu > -1 and 0 <= z <= 30; beyond that range
     the cancellation in the series outruns the extended-precision
     accumulator and the call refuses rather than degrade silently.
     """
@@ -175,13 +177,13 @@ def bessel_j(nu: float, z, series_tol: float = _SERIES_TOL, zmax: float = 30.0):
     za = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(za < 0.0):
         raise ValueError("bessel_j requires z >= 0")
-    if float(za.max()) > zmax:
+    if float(za.max()) > _ZMAX:
         raise SeriesRangeError(
-            f"z = {float(za.max())} exceeds the series-safe range {zmax}; "
+            f"z = {float(za.max())} exceeds the series-safe range {_ZMAX}; "
             "the ascending series would lose the result to cancellation"
         )
     w = (za / 2.0) ** 2
-    reg, _ = _bessel_reg(nu, w, series_tol)
+    reg, _ = _bessel_reg(nu, w, _SERIES_TOL)
     with np.errstate(divide="ignore"):
         powers = (za / 2.0) ** nu
     at_zero = 1.0 if nu == 0.0 else (0.0 if nu > 0.0 else math.inf)

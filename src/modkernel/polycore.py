@@ -11,8 +11,8 @@ Values and up to four derivatives are produced by running the
 three-term recurrence together with its differentiated forms, which is
 stable far beyond where monomial coefficients stop being trustworthy.
 Monomial coefficients of g_0..g_n come from one pass of the same
-recurrence over a coefficient table; their extraction stays capped
-(default degree 40).
+recurrence over a coefficient table; their extraction stays capped at
+degree 40 (``COEFF_DEGREE_CAP``).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 #: Monomial bases become ill-conditioned with degree; coefficient
-#: extraction beyond this cap must be requested explicitly.
+#: extraction refuses degrees beyond this cap.
 COEFF_DEGREE_CAP = 40
 # Newton steps on Tricomi's theta - sin(theta) = s in the LaguerreNeg seeds
 _KEPLER_STEPS = 3
@@ -282,7 +282,8 @@ class _JacobiType(_Family):
         formula alone is off by up to 5e-3; Halley's step converges from
         them in two sweeps.  Both formulas give the exact nodes
         cos((k - 1/2) pi / n) at alpha = beta = -1/2, so a Chebyshev rule
-        converges in one.
+        converges in one.  A symmetric weight (alpha = beta) mirrors the
+        seeds near +1 to -1, one Bessel-zero solve for both ends.
         """
         a, b = self.alpha, self.beta
         rho = n + 0.5 * (a + b + 1.0)
@@ -294,7 +295,7 @@ class _JacobiType(_Family):
         m = min(_BOUNDARY_NODES, n // 2)
         if m:
             x[-m:] = np.cos(_boundary_angles(a, b, rho, m))[::-1]
-            x[:m] = -np.cos(_boundary_angles(b, a, rho, m))
+            x[:m] = -x[-m:][::-1] if a == b else -np.cos(_boundary_angles(b, a, rho, m))
         return x
 
 
@@ -536,18 +537,13 @@ def coefficient_table(rc: RecurrenceCoefficients, n: int) -> np.ndarray:
     return table
 
 
-def orthonormal_coeffs(
-    family: FamilySpec,
-    rc: RecurrenceCoefficients,
-    n: int,
-    max_degree: int = COEFF_DEGREE_CAP,
-) -> DensePolynomial:
+def orthonormal_coeffs(family: FamilySpec, rc: RecurrenceCoefficients, n: int) -> DensePolynomial:
     """Monomial coefficients of g_n, positive leading coefficient.
 
-    Row n of ``coefficient_table``.  Raises beyond ``max_degree``: the
-    monomial basis is too ill-conditioned there for the coefficients to
-    mean much.
+    Row n of ``coefficient_table``.  Raises beyond ``COEFF_DEGREE_CAP``:
+    the monomial basis is too ill-conditioned there for the coefficients
+    to mean much.
     """
-    if n > max_degree:
-        raise ValueError(f"degree {n} exceeds the coefficient cap {max_degree}")
+    if n > COEFF_DEGREE_CAP:
+        raise ValueError(f"degree {n} exceeds the coefficient cap {COEFF_DEGREE_CAP}")
     return DensePolynomial(coefficient_table(rc, n)[n])

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from modkernel import cli
 from modkernel.acceptance import CRITERIA
 from modkernel.cli import build_parser, main, parse_weight_source
 from modkernel.kernels import jacobi_sobolev_poly
@@ -83,13 +84,13 @@ class TestPencilCommand:
         first = [float(v) for v in lines[1].split(",")]
         assert first[1] == 1.0 and first[2] == -2.0
 
-    def test_failed_check_exits_one(self, tmp_path):
+    def test_failed_check_exits_one(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "weighted_sum_residual", lambda *args: 1.0)
         out = tmp_path / "r.json"
-        code = run(["pencil", "--family", "chebyshev", "--c", "ones", "--nmax", "12",
-                    "--tol-equiv", "1e-30", "--emit", str(out)])
+        code = run(["pencil", "--family", "chebyshev", "--c", "ones", "--nmax", "12", "--emit", str(out)])
         assert code == 1
         doc = json.loads(out.read_text())
-        assert not all(c["pass"] for c in doc["checks"])
+        assert [c["name"] for c in doc["checks"] if not c["pass"]] == ["recurrence-matches-weighted-sums"]
 
     def test_nonpositive_file_weight_names_index(self, tmp_path, capsys):
         p = tmp_path / "w.csv"
@@ -241,6 +242,16 @@ class TestDiffcheckCommand:
         per_n = by_name["eigen-relation"]["details"]["per_n"]
         assert per_n[0] == 0.0
 
+    def test_nan_degree_fails_the_eigen_relation(self, tmp_path, monkeypatch):
+        # a NaN past the first degree must not be folded away
+        monkeypatch.setattr(cli, "verify_eigen_relation", lambda *args: np.array([0.0, np.nan, np.nan, np.nan]))
+        out = tmp_path / "r.json"
+        code = run(["diffcheck", "--family", "chebyshev", "--c", "1", "--nmax", "3", "--emit", str(out)])
+        assert code == 1
+        eigen = json.loads(out.read_text())["checks"][0]
+        assert eigen["name"] == "eigen-relation"
+        assert math.isnan(eigen["measured"]) and not eigen["pass"]
+
 
 class TestIntegralcheckCommand:
     def test_small_grid_passes(self, tmp_path):
@@ -338,6 +349,24 @@ class TestPlotdataCommand:
     def test_empty_grid_rejected(self, capsys):
         code = run(["plotdata", "--what", "tn", "--grid", ""])
         assert code == 2
+
+
+@pytest.mark.parametrize("argv, tolerances", [
+    (["pencil", "--family", "chebyshev", "--nmax", "6"],
+     {"definition-positivity": 0.0, "construction-path-equality": 1e-12,
+      "five-term-self-residual": 1e-10, "recurrence-matches-weighted-sums": 1e-9}),
+    (["gram", "--family", "chebyshev", "--t0", "1", "--nmax", "6"],
+     {"diagonal-positivity": 0.0, "offdiagonal-suppression": 1e-9}),
+    (["diffcheck", "--family", "chebyshev", "--nmax", "6"],
+     {"eigen-relation": 1e-11, "kernel-image-identity": 1e-10, "composed-equation-shifted-reading": 1e-9}),
+    (["integralcheck", "--nmax", "2", "--x=-1"], {"double-integral-vs-closed-form": 1e-5}),
+])
+def test_report_tolerances_are_pinned(argv, tolerances, tmp_path):
+    # every check of every subcommand, with its tolerance written out, so an
+    # edit of acceptance.TOLERANCES cannot loosen a certificate unnoticed
+    out = tmp_path / "r.json"
+    assert run([*argv, "--emit", str(out)]) == 0
+    assert {c["name"]: c["tolerance"] for c in json.loads(out.read_text())["checks"]} == tolerances
 
 
 class TestReportDeterminism:

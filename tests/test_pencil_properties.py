@@ -5,9 +5,9 @@ weights all ones, random in [0.5, 1.5) or the plain kernel at the
 support edge, n up to 64, at the 21 sample points of the ``pencil``
 command.  ``associated_values`` must reproduce the per-row loop of
 ``tests/oracles.py`` bit for bit, and the scaled five-term residual of
-its solution must hold the command's default tolerance 1e-10.  The
-weighted-sum certificate is not asserted: ROADMAP item 2 records where
-it fails.
+its solution must hold the tolerance of the command's five-term
+check.  The weighted-sum certificate is not asserted: ROADMAP item 2
+records where it fails.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from modkernel.acceptance import TOLERANCES  # noqa: E402
 from modkernel.kernels import PlainKernel, generate_weights  # noqa: E402
 from modkernel.pencil import WeightSequence, associated_values, build_pencil_formulas, five_term_residual  # noqa: E402
 from modkernel.polycore import Chebyshev1, Jacobi, LaguerreNeg, recurrence_coefficients  # noqa: E402
@@ -28,7 +29,7 @@ families = st.one_of(
     st.builds(LaguerreNeg, params),
     st.just(Chebyshev1()),
 )
-TOL_RESID = 1e-10  # the pencil command's --tol-resid default
+TOL_RESID = TOLERANCES["five-term-recurrence"]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

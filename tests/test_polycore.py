@@ -14,6 +14,7 @@ from modkernel.polycore import (
     orthonormal_values,
     recurrence_coefficients,
 )
+from modkernel import polycore
 from modkernel.polycore import _bessel_zeros
 from modkernel.quadrature import gauss_rule
 
@@ -321,8 +322,6 @@ class TestCoefficients:
         with pytest.raises(ValueError, match="degree 41 exceeds the coefficient cap 40"):
             orthonormal_coeffs(fam, rc, 41)
         assert orthonormal_coeffs(fam, rc, 40).degree == 40
-        # explicit override allows more
-        assert orthonormal_coeffs(fam, rc, 41, max_degree=45).degree == 41
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_coeffs_agree_with_recurrence_eval(self, family):
@@ -426,3 +425,23 @@ class TestBesselZeros:
         ten = _bessel_zeros(0.7, 10)
         for m in (1, 3, 5):
             assert np.abs(_bessel_zeros(0.7, m) / ten[:m] - 1.0).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [9, 40, 255])
+    @pytest.mark.parametrize("family, solves", [
+        (Chebyshev1(), 1), (Jacobi(0.7, 0.7), 1), (Jacobi(2.0, 2.0), 1), (Jacobi(0.5, -0.3), 2),
+    ])
+    def test_symmetric_seeds_solve_once(self, family, solves, n, monkeypatch):
+        # a symmetric weight mirrors the seeds near +1 to -1 instead of
+        # solving for the same zeros again; the mirror is bit-identical
+        orders = []
+
+        def counted(nu, m):
+            orders.append(nu)
+            return _bessel_zeros(nu, m)
+
+        monkeypatch.setattr(polycore, "_bessel_zeros", counted)
+        x = family.gauss_seeds(n)
+        assert len(orders) == solves
+        a, b = family.alpha, family.beta
+        m = min(10, n // 2)
+        assert np.array_equal(x[:m], -np.cos(polycore._boundary_angles(b, a, n + 0.5 * (a + b + 1.0), m)))

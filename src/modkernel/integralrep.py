@@ -34,7 +34,8 @@ import math
 import numpy as np
 
 from .gammafn import gamma_fn
-from .polycore import Jacobi, LaguerreNeg, orthonormal_values, recurrence_coefficients
+from .kernels import sobolev_tables
+from .polycore import Jacobi, LaguerreNeg
 from .quadrature import family_rule
 
 __all__ = [
@@ -225,51 +226,50 @@ def _auto_cutoff(p: float) -> float:
     return t
 
 
-def _outer_rule(p: float, cutoff: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Nodes, weights and mass factor for integral_0^T t^p g(t) dt.
+def _bessel_integral(route: str, alpha: float, n: int, x: float, p: float, divisor: float, inner=None) -> float:
+    """The outer Bessel integral of both routes, refused where its round-off spoils it.
 
-    Built from the Gauss rule of the one-sided weight (1+s)^p on
-    [-1, 1], mapped by t = T (1+s) / 2; the returned factor multiplies
-    the plain weighted sum of g values.
+    Returns e^-x (-x)^(-alpha/2) / divisor times the integral over
+    t in [0, T] of t^p e^-t (-x)^(alpha/2) A_alpha(-t x) h(t), where
+    J_alpha(2 sqrt(-t x)) = (-t x)^(alpha/2) A_alpha(-t x).  Here
+    ``inner(t)`` returns an inner integral I(t) and the power c of t it
+    is divided by, h = I / t^c; without it h = 1.  The cutoff T leaves
+    a tail below _TAIL_REL of the peak of e^-t t^(n + alpha/2).  The
+    origin factor t^p is absorbed into the Gauss rule of the one-sided
+    weight (1+s)^p on [-1, 1]; t = T (1+s)/2 turns the integral into
+    (T/2)^(p+1) sum w_i g(t_i).  A non-finite result or estimate, which
+    the series reaches before the prefactor overflows, is refused like
+    an estimate beyond _BUDGET_REL of the result scale.
     """
-    rule = family_rule(Jacobi(0.0, p), _OUTER_RULE_SIZE)
-    t = 0.5 * cutoff * (rule.nodes + 1.0)
-    # t = T (1+s)/2 turns the target into (T/2)^(p+1) sum w_i g(t_i)
-    factor = (0.5 * cutoff) ** (p + 1.0)
-    return t, rule.weights, factor
-
-
-def _budget_guard(result: float, err: float) -> float:
-    """Return the result unless the Bessel round-off estimate spoils it.
-
-    A non-finite result or estimate, which the series reaches before
-    the prefactor overflows, is refused the same way.
-    """
-    if not (math.isfinite(result) and err <= _BUDGET_REL * max(abs(result), 1.0)):
-        raise CutoffError(
-            f"Bessel series round-off budget {err:.3g} exceeds "
-            f"{_BUDGET_REL} of the result scale {abs(result):.3g}; reduce the argument range"
-        )
-    return result
-
-
-def _exp_range_guard(x: float) -> None:
-    if x < -_EXP_LIMIT:
-        raise SeriesRangeError(
-            f"x = {x} is below {-_EXP_LIMIT:.6g}, where the prefactor e^-x overflows double precision"
-        )
-
-
-def _outer_cutoff(route: str, alpha: float, n: int, x: float) -> float:
-    """Check the arguments of an outer Bessel integral; return its cutoff T."""
     if not x < 0.0:
         raise ValueError(f"the {route} needs strictly negative x")
     if not alpha > -1.0:
         raise ValueError("alpha must exceed -1")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _exp_range_guard(x)
-    return _auto_cutoff(n + alpha / 2.0)
+    if x < -_EXP_LIMIT:
+        raise SeriesRangeError(
+            f"x = {x} is below {-_EXP_LIMIT:.6g}, where the prefactor e^-x overflows double precision"
+        )
+    cutoff = _auto_cutoff(n + alpha / 2.0)
+    rule = family_rule(Jacobi(0.0, p), _OUTER_RULE_SIZE)
+    t = 0.5 * cutoff * (rule.nodes + 1.0)
+    reg, reg_err = _bessel_reg(alpha, -t * x, _SERIES_TOL)
+    scale = np.exp(-t) * (-x) ** (alpha / 2.0)
+    g, g_err = scale * reg, scale * reg_err
+    if inner is not None:
+        vals, power = inner(t)
+        g, g_err = g * vals / t**power, g_err * np.abs(vals) / t**power
+    factor = (0.5 * cutoff) ** (p + 1.0)
+    prefactor = math.exp(-x) * (-x) ** (-alpha / 2.0) / divisor
+    result = prefactor * (factor * float(rule.weights @ g))
+    err = prefactor * (factor * float(np.abs(rule.weights) @ g_err))
+    if not (math.isfinite(result) and err <= _BUDGET_REL * max(abs(result), 1.0)):
+        raise CutoffError(
+            f"Bessel series round-off budget {err:.3g} exceeds "
+            f"{_BUDGET_REL} of the result scale {abs(result):.3g}; reduce the argument range"
+        )
+    return result
 
 
 def laguerre_via_bessel(alpha: float, n: int, x: float) -> float:
@@ -280,20 +280,19 @@ def laguerre_via_bessel(alpha: float, n: int, x: float) -> float:
     algebraic origin factor t^(n+alpha) (Bessel part included) is
     absorbed into the quadrature weight.
     """
-    cutoff = _outer_cutoff("Bessel route", alpha, n, x)
-    t, w, factor = _outer_rule(n + alpha, cutoff)
-    reg, reg_err = _bessel_reg(alpha, -t * x, _SERIES_TOL)
-    g = np.exp(-t) * (-x) ** (alpha / 2.0) * reg
-    g_err = np.exp(-t) * (-x) ** (alpha / 2.0) * reg_err
-    integral = factor * float(w @ g)
-    budget = factor * float(np.abs(w) @ g_err)
-    prefactor = math.exp(-x) * (-x) ** (-alpha / 2.0) / math.factorial(n)
-    return _budget_guard(prefactor * integral, prefactor * budget)
+    return _bessel_integral("Bessel route", alpha, n, x, n + alpha, math.factorial(n))
 
 
-def _inner_rule(size: int) -> tuple[np.ndarray, np.ndarray]:
-    rule = family_rule(Jacobi(0.0, 0.0), size)
-    return rule.nodes, rule.weights
+def _inner_integral(n: int, c: int, t):
+    """integral_0^t theta^(n+c-1) 2F0(-n, 1; -; -1/theta) dtheta, for scalar or array t.
+
+    The integrand is a polynomial of degree n + c - 1, so the mapped
+    Gauss-Legendre rule of at least (n + c)/2 + 2 points is exact.
+    """
+    rule = family_rule(Jacobi(0.0, 0.0), max(_INNER_RULE_SIZE, (n + c) // 2 + 2))
+    theta = 0.5 * np.multiply.outer(t, rule.nodes + 1.0)
+    vals = theta ** (n + c - 1) * hyp2f0_terminating(n, theta)
+    return 0.5 * t * (vals @ rule.weights)
 
 
 def f_n_partial_sum(c: int, n: int, t: float) -> tuple[float, float]:
@@ -311,12 +310,7 @@ def f_n_partial_sum(c: int, n: int, t: float) -> tuple[float, float]:
     direct = 0.0
     for k in range(n + 1):
         direct += t**k / ((k + c) * math.factorial(k))
-    size = max(_INNER_RULE_SIZE, (n + c) // 2 + 2)
-    s, w = _inner_rule(size)
-    theta = 0.5 * t * (s + 1.0)
-    vals = theta ** (n + c - 1) * hyp2f0_terminating(n, theta)
-    integral = 0.5 * t * float(w @ vals)
-    integral_form = integral * t ** (-c) / math.factorial(n)
+    integral_form = float(_inner_integral(n, c, t)) * t ** (-c) / math.factorial(n)
     return direct, integral_form
 
 
@@ -331,34 +325,20 @@ def sobolev_laguerre_integral_rep(alpha: float, c: int, n: int, x: float) -> flo
     """
     if not (isinstance(c, (int, np.integer)) and c >= 1):
         raise ValueError("c must be a positive integer")
-    cutoff = _outer_cutoff("integral representation", alpha, n, x)
-    t, w, factor = _outer_rule(alpha, cutoff)
-    inner_size = max(_INNER_RULE_SIZE, (n + int(c)) // 2 + 2)
-    s_in, w_in = _inner_rule(inner_size)
-    theta = 0.5 * np.outer(t, s_in + 1.0)
-    inner_vals = theta ** (n + c - 1) * hyp2f0_terminating(n, theta)
-    inner = 0.5 * t * (inner_vals @ w_in)
-    reg, reg_err = _bessel_reg(alpha, -t * x, _SERIES_TOL)
-    g = np.exp(-t) * (-x) ** (alpha / 2.0) * reg * inner / t ** float(c)
-    g_err = np.exp(-t) * (-x) ** (alpha / 2.0) * reg_err * np.abs(inner) / t ** float(c)
-    integral = factor * float(w @ g)
-    budget = factor * float(np.abs(w) @ g_err)
-    prefactor = math.exp(-x) * (-x) ** (-alpha / 2.0) / (gamma_fn(alpha + 1.0) * math.factorial(n))
-    return _budget_guard(prefactor * integral, prefactor * budget)
+    c = int(c)
+    return _bessel_integral("integral representation", alpha, n, x, alpha,
+                            gamma_fn(alpha + 1.0) * math.factorial(n),
+                            lambda t: (_inner_integral(n, c, t), float(c)))
 
 
 def sobolev_laguerre_closed_form(alpha: float, c: float, n: int, x) -> float:
     """Independent route: the same sum through the orthonormal family.
 
     sum_{k<=n} g_k(0) g_k(x) / (k + c) with g the reflected-Laguerre
-    orthonormal polynomials; no Bessel function or quadrature involved.
+    orthonormal polynomials, the order-n entry of ``sobolev_tables``; no
+    Bessel function or quadrature involved.
     """
-    fam = LaguerreNeg(alpha)
-    rc = recurrence_coefficients(fam, max(n, 1))
-    g0v = orthonormal_values(rc, n, 0.0)
-    gxv = orthonormal_values(rc, n, x)
-    k = np.arange(n + 1, dtype=float)
-    res = np.tensordot(g0v / (k + c), gxv, axes=(0, 0))
+    res = sobolev_tables(LaguerreNeg(alpha), c, 0.0, n, x, 0)[0, n]
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(res)
     return res
@@ -368,12 +348,13 @@ def integral_rep_errors(alpha: float, c: int, n_max: int, x_grid) -> np.ndarray:
     """Relative errors of the double integral against the closed form.
 
     Entry [n, j] is |integral - closed| / max(|closed|, 1) at order n and
-    x = x_grid[j], for n = 0..n_max.
+    x = x_grid[j], for n = 0..n_max.  The closed form of every entry
+    comes from one ``sobolev_tables`` call over the grid.
     """
+    ref = sobolev_tables(LaguerreNeg(alpha), float(c), 0.0, n_max, np.asarray(x_grid, dtype=float), 0)[0]
     err = np.zeros((n_max + 1, len(x_grid)))
     for n in range(n_max + 1):
         for j, x in enumerate(x_grid):
-            ref = sobolev_laguerre_closed_form(alpha, float(c), n, x)
             got = sobolev_laguerre_integral_rep(alpha, c, n, x)
-            err[n, j] = abs(got - ref) / max(abs(ref), 1.0)
+            err[n, j] = abs(got - ref[n, j]) / max(abs(ref[n, j]), 1.0)
     return err

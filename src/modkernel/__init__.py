@@ -19,10 +19,8 @@ from .integralrep import (
     SeriesRangeError,
     bessel_j,
     f_n_partial_sum,
-    hyp2f0_terminating,
     integral_rep_errors,
     laguerre_via_bessel,
-    pochhammer,
     sobolev_laguerre_closed_form,
     sobolev_laguerre_integral_rep,
 )

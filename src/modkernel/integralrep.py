@@ -5,7 +5,10 @@ Bessel transform over [0, inf), and the eigenvalue-scaled sums at
 t0 = 0 with integer shift c admit a double integral whose inner factor
 is a terminating 2F0 series.  Everything here is evaluated honestly as
 the stated integrals; the closed-form route through the orthonormal
-family serves as the independent comparison side.
+family, the order-n entry of ``kernels.sobolev_tables``, serves as the
+independent comparison side.  Both integral routes share one outer
+Bessel integral, ``_bessel_integral``, and the double integral and
+``f_n_partial_sum`` share one inner integral, ``_inner_integral``.
 
 Numerical notes.  The Bessel series is summed in extended precision in
 one array pass.  A scalar pass at the largest and smallest argument
@@ -16,15 +19,21 @@ series_tol times the largest partial sum, as in a term-by-term loop.
 The error estimate grows with the largest term, because the series
 suffers catastrophic cancellation as the argument grows; it is
 conservative, and it includes the rounding of the sum to double.  The
-outer integrand carries an algebraic factor t^(n+alpha) at the origin
-which would ruin plain Gauss-Legendre convergence for non-integer
-alpha, so that factor is absorbed exactly into a mapped Gauss rule for
-the weight (1+s)^(n+alpha) and only the remaining entire part is
-sampled.  The Gauss rules come from ``quadrature.family_rule``, which
-memoizes them by (family, size) in a bounded cache with read-only
+outer integrand carries an algebraic factor t^p at the origin (p =
+n + alpha for the single integral, alpha for the double one) which
+would ruin plain Gauss-Legendre convergence for non-integer alpha, so
+that factor is absorbed exactly into a mapped Gauss rule for the weight
+(1+s)^p and only the remaining entire part is sampled.  The inner
+factor theta^(n+c-1) 2F0(-n, 1; -; -1/theta) equals
+n! theta^(c-1) e_n(theta), e_n the exponential partial sum; it is summed
+in that form, whose terms are all positive, and the n! cancels against
+the prefactor.  The Gauss rules come from ``quadrature.family_rule``,
+which memoizes them by (family, size) in a bounded cache with read-only
 arrays; repeated calls at the same (alpha, n) reuse one rule instead of
 rebuilding it.  The prefactor e^-x limits x to above -log(DBL_MAX)
-(about -709.78); beyond that the routes raise SeriesRangeError.
+(about -709.78); beyond that the routes raise SeriesRangeError, as they
+do where e_n(theta) overflows on the outer range (from n = 527 at
+alpha = 0).
 """
 
 from __future__ import annotations
@@ -41,9 +50,7 @@ from .quadrature import family_rule
 __all__ = [
     "SeriesRangeError",
     "CutoffError",
-    "pochhammer",
     "bessel_j",
-    "hyp2f0_terminating",
     "laguerre_via_bessel",
     "f_n_partial_sum",
     "sobolev_laguerre_integral_rep",
@@ -53,7 +60,7 @@ __all__ = [
 
 
 class SeriesRangeError(ValueError):
-    """The ascending series cannot deliver the argument reliably."""
+    """The ascending series, or a double, cannot deliver the argument reliably."""
 
 
 class CutoffError(RuntimeError):
@@ -77,14 +84,6 @@ _ZMAX = 30.0
 # Gauss rule sizes of the outer integral and of the inner (polynomial) one
 _OUTER_RULE_SIZE = 140
 _INNER_RULE_SIZE = 24
-
-
-def pochhammer(c: float, k: int) -> float:
-    """Shifted factorial (c)_k = c (c+1) ... (c+k-1), with (c)_0 = 1."""
-    acc = 1.0
-    for j in range(k):
-        acc *= c + j
-    return acc
 
 
 def _term_bound(nu: float, lead: float, w_top: float, w_min: float, series_tol: float) -> int:
@@ -194,32 +193,13 @@ def bessel_j(nu: float, z):
     return vals
 
 
-def hyp2f0_terminating(n: int, theta):
-    """Terminating sum 2F0(-n, 1; -; -1/theta) = sum_k (-n)_k (1)_k (-1/theta)^k / k!.
-
-    theta = 0 is refused: the series form is singular there and the
-    limit value is only meaningful inside the integrals below.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    ta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if np.any(ta == 0.0):
-        raise ValueError("theta = 0 is outside the series form; only the limit value exists")
-    term = np.ones_like(ta)
-    total = term.copy()
-    for k in range(n):
-        # (1)_k / k! == 1, so each step multiplies by (k - n)(-1/theta)
-        term = term * (k - n) * (-1.0 / ta)
-        total += term
-    if np.isscalar(theta) or np.asarray(theta).ndim == 0:
-        return float(total[0])
-    return total
-
-
 def _auto_cutoff(p: float) -> float:
-    """Smallest T with e^-T T^p below _TAIL_REL times the peak of e^-t t^p."""
-    peak = math.exp(p * math.log(p) - p) if p > 0 else 1.0
-    target = math.log(_TAIL_REL * peak)
+    """Smallest T with e^-T T^p below _TAIL_REL times the peak of e^-t t^p.
+
+    The peak e^(p log p - p) is kept as its logarithm, since it
+    overflows a double from p = 171.
+    """
+    target = math.log(_TAIL_REL) + (p * math.log(p) - p if p > 0 else 0.0)
     t = max(p + 5.0, 12.0)
     while -t + p * math.log(t) > target:
         t += 1.0
@@ -284,14 +264,26 @@ def laguerre_via_bessel(alpha: float, n: int, x: float) -> float:
 
 
 def _inner_integral(n: int, c: int, t):
-    """integral_0^t theta^(n+c-1) 2F0(-n, 1; -; -1/theta) dtheta, for scalar or array t.
+    """integral_0^t theta^(c-1) e_n(theta) dtheta, for scalar or array t.
 
-    The integrand is a polynomial of degree n + c - 1, so the mapped
-    Gauss-Legendre rule of at least (n + c)/2 + 2 points is exact.
+    e_n(theta) = sum_{j<=n} theta^j / j! = (theta^n / n!) 2F0(-n, 1; -; -1/theta)
+    is summed by Horner's rule; every term is positive, so nothing
+    cancels and nothing overflows before e^theta does.  The integrand is
+    a polynomial of degree n + c - 1, so the mapped Gauss-Legendre rule
+    of at least (n + c)/2 + 2 points is exact.
     """
     rule = family_rule(Jacobi(0.0, 0.0), max(_INNER_RULE_SIZE, (n + c) // 2 + 2))
     theta = 0.5 * np.multiply.outer(t, rule.nodes + 1.0)
-    vals = theta ** (n + c - 1) * hyp2f0_terminating(n, theta)
+    e_n = np.ones_like(theta)
+    with np.errstate(over="ignore"):
+        for j in range(n, 0, -1):
+            e_n = 1.0 + theta * e_n / j
+        vals = theta ** (c - 1) * e_n
+    if not np.isfinite(vals).all():
+        raise SeriesRangeError(
+            f"the inner factor theta^(c-1) e_n(theta) at c = {c}, n = {n} overflows double "
+            f"precision for theta up to {float(np.max(theta)):.6g}; reduce n"
+        )
     return 0.5 * t * (vals @ rule.weights)
 
 
@@ -299,9 +291,11 @@ def f_n_partial_sum(c: int, n: int, t: float) -> tuple[float, float]:
     """Both routes to f_n(t) = sum_{k<=n} t^k / ((k+c) k!), c a positive integer.
 
     Returns (direct sum, integral form); the integral form is
-    (1/n!) t^-c integral_0^t theta^(n+c-1) 2F0(-n, 1; -; -1/theta) dtheta,
-    evaluated with a mapped Gauss-Legendre rule (the integrand is a
-    polynomial, so the rule is exact).
+    t^-c integral_0^t theta^(c-1) e_n(theta) dtheta with e_n the
+    exponential partial sum, that is (1/n!) t^-c times the integral of
+    theta^(n+c-1) 2F0(-n, 1; -; -1/theta), evaluated with a mapped
+    Gauss-Legendre rule (the integrand is a polynomial, so the rule is
+    exact).
     """
     if not (isinstance(c, (int, np.integer)) and c >= 1):
         raise ValueError("c must be a positive integer")
@@ -310,8 +304,7 @@ def f_n_partial_sum(c: int, n: int, t: float) -> tuple[float, float]:
     direct = 0.0
     for k in range(n + 1):
         direct += t**k / ((k + c) * math.factorial(k))
-    integral_form = float(_inner_integral(n, c, t)) * t ** (-c) / math.factorial(n)
-    return direct, integral_form
+    return direct, float(_inner_integral(n, int(c), t)) * t ** (-c)
 
 
 def sobolev_laguerre_integral_rep(alpha: float, c: int, n: int, x: float) -> float:
@@ -320,14 +313,14 @@ def sobolev_laguerre_integral_rep(alpha: float, c: int, n: int, x: float) -> flo
     Evaluates (1/(Gamma(alpha+1) n!)) e^-x (-x)^(-alpha/2) times the
     double integral of e^-t t^(alpha/2-c) theta^(n+c-1)
     J_alpha(2 sqrt(-tx)) 2F0(-n, 1; -; -1/theta) over 0 < theta < t < T.
-    The inner integral is polynomial and handled exactly; the outer
+    The inner integrand is n! theta^(c-1) e_n(theta), so the n! cancels
+    and the inner integral, a polynomial one, is exact; the outer
     algebraic factor t^alpha is absorbed into the rule weight.
     """
     if not (isinstance(c, (int, np.integer)) and c >= 1):
         raise ValueError("c must be a positive integer")
     c = int(c)
-    return _bessel_integral("integral representation", alpha, n, x, alpha,
-                            gamma_fn(alpha + 1.0) * math.factorial(n),
+    return _bessel_integral("integral representation", alpha, n, x, alpha, gamma_fn(alpha + 1.0),
                             lambda t: (_inner_integral(n, c, t), float(c)))
 
 

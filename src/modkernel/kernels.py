@@ -27,9 +27,9 @@ from .polycore import (
     LaguerreNeg,
     RecurrenceCoefficients,
     coefficient_table,
-    derivative_tables,
     orthonormal_values,
     recurrence_coefficients,
+    weighted_tables,
 )
 
 __all__ = [
@@ -147,20 +147,6 @@ def modified_kernel(spec: ModifiedKernelSpec, n: int) -> DensePolynomial:
         raise ValueError(f"degree {n} exceeds the coefficient cap {COEFF_DEGREE_CAP}")
     # cumsum adds the rows in order of degree; a matrix product may reorder the additions
     return DensePolynomial(np.cumsum(w.c[: n + 1, None] * coefficient_table(rc, n), axis=0)[n])
-
-
-def weighted_tables(rc: RecurrenceCoefficients, c, x, order: int) -> np.ndarray:
-    """Derivative tables of the partial sums u_k = sum_{i<=k} c_i g_i.
-
-    Entry [j, k] holds u_k^(j)(x) for j = 0..order and k = 0..len(c)-1:
-    the cumulative sum over k of c_k times ``derivative_tables``.  The
-    coefficients may have any sign, so plain kernels K_n(t, x) with t
-    inside the support are covered too.
-    """
-    c = np.asarray(c, dtype=float)
-    u = derivative_tables(rc, c.size - 1, x, order)
-    u *= c.reshape((1, c.size) + (1,) * (u.ndim - 2))
-    return np.cumsum(u, axis=1, out=u)
 
 
 def sobolev_tables(family: FamilySpec, c: float, t0: float, n: int, x, order: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polycore import RecurrenceCoefficients, orthonormal_values
+from .polycore import RecurrenceCoefficients, weighted_tables
 
 __all__ = [
     "WeightSequence",
@@ -255,11 +255,11 @@ def weighted_sum_residual(rc: RecurrenceCoefficients, w: WeightSequence, values:
     """Max relative mismatch between pencil solutions and normalized weighted sums.
 
     ``values`` holds p_0..p_n at ``lambdas`` (from ``associated_values``);
-    the reference side sums c_k g_k directly and divides by c_0 g_0.
-    Each row is normalized by the larger of 1 and its reference magnitude.
+    the reference side sums c_k g_k directly (``weighted_tables``) and
+    divides by c_0 g_0.  Each row is normalized by the larger of 1 and
+    its reference magnitude.
     """
     n = values.shape[0] - 1
-    g = orthonormal_values(rc, n, np.asarray(lambdas, dtype=float))
-    ref = np.cumsum(w.c[: n + 1, None] * g, axis=0) / (w[0] * rc.g0)
+    ref = weighted_tables(rc, w.c[: n + 1], np.asarray(lambdas, dtype=float), 0)[0] / (w[0] * rc.g0)
     scale = np.maximum(1.0, np.abs(ref).max(axis=1, keepdims=True))
     return float((np.abs(values - ref) / scale).max())

@@ -35,6 +35,7 @@ __all__ = [
     "FamilySpec",
     "recurrence_coefficients",
     "derivative_tables",
+    "weighted_tables",
     "orthonormal_values",
     "coefficient_table",
     "orthonormal_coeffs",
@@ -498,6 +499,20 @@ def derivative_tables(rc: RecurrenceCoefficients, n: int, x, order: int) -> np.n
             prev = row[k]
             row[k + 1] = nxt / rc.a_hat[k]
     return out
+
+
+def weighted_tables(rc: RecurrenceCoefficients, c, x, order: int) -> np.ndarray:
+    """Derivative tables of the partial sums u_k = sum_{i<=k} c_i g_i.
+
+    Entry [j, k] holds u_k^(j)(x) for j = 0..order and k = 0..len(c)-1:
+    the cumulative sum over k of c_k times ``derivative_tables``.  The
+    coefficients may have any sign, so plain kernels K_n(t, x) with t
+    inside the support are covered too.
+    """
+    c = np.asarray(c, dtype=float)
+    u = derivative_tables(rc, c.size - 1, x, order)
+    u *= c.reshape((1, c.size) + (1,) * (u.ndim - 2))
+    return np.cumsum(u, axis=1, out=u)
 
 
 def orthonormal_values(rc: RecurrenceCoefficients, n: int, x) -> np.ndarray:

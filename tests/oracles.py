@@ -286,6 +286,30 @@ def bessel_series_oracle(nu: float, w, series_tol: float, gamma_nu1: float):
     return total, est, m
 
 
+def hyp2f0_terminating(n: int, theta):
+    """Terminating sum 2F0(-n, 1; -; -1/theta) = sum_k (-n)_k (1)_k (-1/theta)^k / k!.
+
+    The inner factor of the double integral as the package once formed
+    it, theta^(n+c-1) times this sum; (theta^n / n!) times it is the
+    exponential partial sum e_n(theta) the package now sums.  theta = 0
+    is refused: the series form is singular there.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    ta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if np.any(ta == 0.0):
+        raise ValueError("theta = 0 is outside the series form; only the limit value exists")
+    term = np.ones_like(ta)
+    total = term.copy()
+    for k in range(n):
+        # (1)_k / k! == 1, so each step multiplies by (k - n)(-1/theta)
+        term = term * (k - n) * (-1.0 / ta)
+        total += term
+    if np.isscalar(theta) or np.asarray(theta).ndim == 0:
+        return float(total[0])
+    return total
+
+
 def orthonormal_coeffs_loop(rc, n: int) -> list:
     """Coefficient arrays of g_0..g_n, one recurrence step per degree.
 

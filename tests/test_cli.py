@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -279,6 +280,16 @@ class TestIntegralcheckCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: x = -1000000.0") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("nmax", ["52", "100"])
+    def test_high_order_certifies_without_warnings(self, nmax, tmp_path, capsys):
+        # the inner factor once overflowed from nmax 52, with a numpy RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["integralcheck", "--alpha", "0", "--c", "1", "--nmax", nmax, "--x=-0.5",
+                        "--emit", str(tmp_path / "r.json")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_budget_refusal_marks_the_domain_edge(self, capsys):
         # the Bessel round-off budget is what ends the measured domain of the routes

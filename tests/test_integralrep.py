@@ -5,20 +5,19 @@ import pytest
 
 from modkernel import integralrep, quadrature
 from modkernel.gammafn import gamma_fn
+from modkernel.polycore import Jacobi
 from modkernel.integralrep import (
     CutoffError,
     SeriesRangeError,
     bessel_j,
     f_n_partial_sum,
-    hyp2f0_terminating,
     integral_rep_errors,
     laguerre_via_bessel,
-    pochhammer,
     sobolev_laguerre_closed_form,
     sobolev_laguerre_integral_rep,
 )
 
-from oracles import bessel_series_oracle, laguerre_poly_value
+from oracles import bessel_series_oracle, hyp2f0_terminating, laguerre_poly_value
 
 # orders and arguments of the series scan: w = 350 is 2 sqrt(w) = 37.4,
 # beyond bessel_j's range of 30 and inside the integral routes' range
@@ -26,13 +25,6 @@ SCAN_NU = (0.0, 0.5, 1.0, 2.0, 3.0, 1.3)
 SCAN_W = np.linspace(0.0, 350.0, 400)
 # x grid of the mpmath oracles of both integral routes, down to x = -12
 ROUTE_X = (-0.1, -1.0, -5.0, -12.0)
-
-
-class TestPochhammer:
-    def test_values(self):
-        assert pochhammer(3.0, 0) == 1.0
-        assert pochhammer(3.0, 1) == 3.0
-        assert pochhammer(2.5, 3) == pytest.approx(2.5 * 3.5 * 4.5)
 
 
 class TestBessel:
@@ -158,6 +150,17 @@ class TestHyp2F0:
         with pytest.raises(ValueError):
             hyp2f0_terminating(3, 0.0)
 
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 4, 10, 30])
+    def test_inner_integral_holds_the_2f0_form(self, c, n):
+        # the inner integral sums theta^(c-1) e_n(theta); on the same rule the
+        # 2F0 form theta^(n+c-1) 2F0(-n, 1; -; -1/theta) / n! gives the same value
+        t = np.array([0.05, 0.7, 5.0, 20.0])
+        rule = quadrature.family_rule(Jacobi(0.0, 0.0), max(24, (n + c) // 2 + 2))
+        theta = 0.5 * np.multiply.outer(t, rule.nodes + 1.0)
+        ref = 0.5 * t * ((theta ** (n + c - 1) * hyp2f0_terminating(n, theta)) @ rule.weights)
+        np.testing.assert_allclose(integralrep._inner_integral(n, c, t), ref / math.factorial(n), rtol=1e-13)
+
 
 class TestLaguerreViaBessel:
     def test_order_zero(self):
@@ -229,6 +232,14 @@ class TestPartialSumRoutes:
         d, i = f_n_partial_sum(c, n, t)
         assert i == pytest.approx(d, rel=1e-10)
 
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("t", [0.05, 0.7, 5.0, 20.0])
+    def test_high_order_is_finite(self, c, t):
+        # the 2F0 form overflowed at the inner rule's smallest nodes from n = 52
+        d, i = f_n_partial_sum(c, 100, t)
+        assert math.isfinite(i)
+        assert abs(i - d) <= 1e-12 * abs(d)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             f_n_partial_sum(0, 2, 1.0)
@@ -294,6 +305,18 @@ class TestRangeLimits:
         # the Bessel sum overflows before the prefactor does
         with pytest.raises(CutoffError):
             route(-700.0)
+
+
+    def test_inner_overflow_is_named(self):
+        # e_n(theta) passes the largest double on the outer range from about n = 527
+        with pytest.raises(SeriesRangeError, match=r"inner factor .* c = 1, n = 600 overflows"):
+            sobolev_laguerre_integral_rep(0.0, 1, 600, -0.5)
+
+    def test_cutoff_past_the_overflowing_peak(self):
+        # the peak e^(p log p - p) of the outer integrand leaves the double range from p = 171
+        assert integralrep._auto_cutoff(200.0) == 348.0
+        assert sobolev_laguerre_integral_rep(0.0, 1, 200, -0.5) == pytest.approx(
+            sobolev_laguerre_closed_form(0.0, 1.0, 200, -0.5), rel=1e-12)
 
 
 class TestRuleReuse:

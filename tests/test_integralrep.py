@@ -5,7 +5,6 @@ import pytest
 
 from modkernel import integralrep, quadrature
 from modkernel.gammafn import gamma_fn
-from modkernel.polycore import Jacobi
 from modkernel.integralrep import (
     CutoffError,
     SeriesRangeError,
@@ -16,6 +15,7 @@ from modkernel.integralrep import (
     sobolev_laguerre_closed_form,
     sobolev_laguerre_integral_rep,
 )
+from modkernel.polycore import Jacobi
 
 from oracles import bessel_series_oracle, hyp2f0_terminating, laguerre_poly_value
 
@@ -156,7 +156,7 @@ class TestHyp2F0:
         # the inner integral sums theta^(c-1) e_n(theta); on the same rule the
         # 2F0 form theta^(n+c-1) 2F0(-n, 1; -; -1/theta) / n! gives the same value
         t = np.array([0.05, 0.7, 5.0, 20.0])
-        rule = quadrature.family_rule(Jacobi(0.0, 0.0), max(24, (n + c) // 2 + 2))
+        rule = quadrature.family_rule(Jacobi(0.0, 0.0), max(integralrep._INNER_RULE_SIZE, (n + c) // 2 + 2))
         theta = 0.5 * np.multiply.outer(t, rule.nodes + 1.0)
         ref = 0.5 * t * ((theta ** (n + c - 1) * hyp2f0_terminating(n, theta)) @ rule.weights)
         np.testing.assert_allclose(integralrep._inner_integral(n, c, t), ref / math.factorial(n), rtol=1e-13)
@@ -305,7 +305,6 @@ class TestRangeLimits:
         # the Bessel sum overflows before the prefactor does
         with pytest.raises(CutoffError):
             route(-700.0)
-
 
     def test_inner_overflow_is_named(self):
         # e_n(theta) passes the largest double on the outer range from about n = 527

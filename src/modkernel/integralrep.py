@@ -18,26 +18,33 @@ stopping index is the first where the largest term falls below
 series_tol times the largest partial sum, as in a term-by-term loop.
 The error estimate grows with the largest term, because the series
 suffers catastrophic cancellation as the argument grows; it is
-conservative, and it includes the rounding of the sum to double.  The
-outer integrand carries an algebraic factor t^p at the origin (p =
-n + alpha for the single integral, alpha for the double one) which
-would ruin plain Gauss-Legendre convergence for non-integer alpha, so
-that factor is absorbed exactly into a mapped Gauss rule for the weight
-(1+s)^p and only the remaining entire part is sampled.  The inner
-factor theta^(n+c-1) 2F0(-n, 1; -; -1/theta) equals
-n! theta^(c-1) e_n(theta), e_n the exponential partial sum; it is summed
-in that form, whose terms are all positive, and the n! cancels against
-the prefactor.  The Gauss rules come from ``quadrature.family_rule``,
-which memoizes them by (family, size) in a bounded cache with read-only
-arrays; repeated calls at the same (alpha, n) reuse one rule instead of
-rebuilding it.  The prefactor e^-x limits x to above -log(DBL_MAX)
-(about -709.78); beyond that the routes raise SeriesRangeError, as they
-do where e_n(theta) overflows on the outer range (from n = 527 at
-alpha = 0).
+conservative, and it includes the rounding of the sum to double.  Both
+routes integrate over t against the algebraic factor t^alpha at the
+origin, which would ruin plain Gauss-Legendre convergence for
+non-integer alpha, so that factor is absorbed exactly into one mapped
+Gauss rule for the weight (1+s)^alpha and only entire factors are
+sampled: the shared Bessel column (-x)^(alpha/2) A_alpha(-t x) and the
+route's own factor, the Poisson weight e^-t t^n / n! (formed from its
+logarithm, so it cannot overflow) for the single integral and
+e^-t I(t) / t^c for the double one.  The inner factor
+theta^(n+c-1) 2F0(-n, 1; -; -1/theta) equals n! theta^(c-1) e_n(theta),
+e_n the exponential partial sum; it is summed in that form, whose terms
+are all positive, and the n! cancels against the prefactor.
+
+Two bounded caches with read-only arrays keep what repeats, the way
+``quadrature.family_rule`` keeps the Gauss rules: ``_bessel_column``
+holds the Bessel column per (alpha, n, x), so the second route at a
+point sums no series, and ``_inner_factor`` holds e^-t I(t) / t^c per
+(alpha, n, c), which does not depend on x.  The comparison sides,
+``sobolev_tables`` and the orthonormal recurrence, read neither.  The
+prefactor e^-x limits x to above -log(DBL_MAX) (about -709.78); beyond
+that the routes raise SeriesRangeError, as they do where e_n(theta)
+overflows on the outer range (from n = 527 at alpha = 0).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -84,6 +91,10 @@ _ZMAX = 30.0
 # Gauss rule sizes of the outer integral and of the inner (polynomial) one
 _OUTER_RULE_SIZE = 140
 _INNER_RULE_SIZE = 24
+# entries of the Bessel column cache, keyed (alpha, n, x), and of the inner
+# factor cache, keyed (alpha, n, c); one entry is a few 140-point arrays
+_COLUMN_CACHE_SIZE = 16
+_INNER_CACHE_SIZE = 64
 
 
 def _term_bound(nu: float, lead: float, w_top: float, w_min: float, series_tol: float) -> int:
@@ -206,20 +217,50 @@ def _auto_cutoff(p: float) -> float:
     return t
 
 
-def _bessel_integral(route: str, alpha: float, n: int, x: float, p: float, divisor: float, inner=None) -> float:
+def _outer_rule(alpha: float, n: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The outer rule at (alpha, n): its mass (T/2)^(alpha+1), weights and nodes t on [0, T].
+
+    The Gauss rule of the one-sided weight (1+s)^alpha on [-1, 1],
+    mapped by t = T (1+s)/2; the cutoff T leaves a tail below _TAIL_REL
+    of the peak of e^-t t^(n + alpha/2).
+    """
+    cutoff = _auto_cutoff(n + alpha / 2.0)
+    rule = family_rule(Jacobi(0.0, alpha), _OUTER_RULE_SIZE)
+    t = 0.5 * cutoff * (rule.nodes + 1.0)
+    t.setflags(write=False)
+    return (0.5 * cutoff) ** (alpha + 1.0), rule.weights, t
+
+
+@functools.lru_cache(maxsize=_COLUMN_CACHE_SIZE)
+def _bessel_column(alpha: float, n: int, x: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The outer rule at (alpha, n), (-x)^(alpha/2) A_alpha(-t x) on its nodes t, and its round-off estimate.
+
+    Both routes sample the same column at one (alpha, n, x), so it is
+    summed once while it stays in the bounded cache.  The arrays are
+    read-only because every caller shares them.
+    """
+    mass, weights, t = _outer_rule(alpha, n)
+    reg, reg_err = _bessel_reg(alpha, -t * x, _SERIES_TOL)
+    root = (-x) ** (alpha / 2.0)
+    col, col_err = root * reg, root * reg_err
+    col.setflags(write=False)
+    col_err.setflags(write=False)
+    return mass, weights, t, col, col_err
+
+
+def _bessel_integral(route: str, alpha: float, n: int, x: float, divisor: float, factor) -> float:
     """The outer Bessel integral of both routes, refused where its round-off spoils it.
 
     Returns e^-x (-x)^(-alpha/2) / divisor times the integral over
-    t in [0, T] of t^p e^-t (-x)^(alpha/2) A_alpha(-t x) h(t), where
-    J_alpha(2 sqrt(-t x)) = (-t x)^(alpha/2) A_alpha(-t x).  Here
-    ``inner(t)`` returns an inner integral I(t) and the power c of t it
-    is divided by, h = I / t^c; without it h = 1.  The cutoff T leaves
-    a tail below _TAIL_REL of the peak of e^-t t^(n + alpha/2).  The
-    origin factor t^p is absorbed into the Gauss rule of the one-sided
-    weight (1+s)^p on [-1, 1]; t = T (1+s)/2 turns the integral into
-    (T/2)^(p+1) sum w_i g(t_i).  A non-finite result or estimate, which
-    the series reaches before the prefactor overflows, is refused like
-    an estimate beyond _BUDGET_REL of the result scale.
+    t in [0, T] of t^alpha (-x)^(alpha/2) A_alpha(-t x) h(t), where
+    J_alpha(2 sqrt(-t x)) = (-t x)^(alpha/2) A_alpha(-t x) and
+    h = ``factor(t)`` is the route's own nonnegative factor on the outer
+    nodes.  The origin factor t^alpha is absorbed into the rule of
+    ``_outer_rule``, which turns the integral into
+    (T/2)^(alpha+1) sum w_i g(t_i); the rule, the Bessel column and its
+    estimate come from ``_bessel_column``.  A non-finite result or estimate,
+    which the series reaches before the prefactor overflows, is refused
+    like an estimate beyond _BUDGET_REL of the result scale.
     """
     if not x < 0.0:
         raise ValueError(f"the {route} needs strictly negative x")
@@ -231,19 +272,11 @@ def _bessel_integral(route: str, alpha: float, n: int, x: float, p: float, divis
         raise SeriesRangeError(
             f"x = {x} is below {-_EXP_LIMIT:.6g}, where the prefactor e^-x overflows double precision"
         )
-    cutoff = _auto_cutoff(n + alpha / 2.0)
-    rule = family_rule(Jacobi(0.0, p), _OUTER_RULE_SIZE)
-    t = 0.5 * cutoff * (rule.nodes + 1.0)
-    reg, reg_err = _bessel_reg(alpha, -t * x, _SERIES_TOL)
-    scale = np.exp(-t) * (-x) ** (alpha / 2.0)
-    g, g_err = scale * reg, scale * reg_err
-    if inner is not None:
-        vals, power = inner(t)
-        g, g_err = g * vals / t**power, g_err * np.abs(vals) / t**power
-    factor = (0.5 * cutoff) ** (p + 1.0)
+    mass, weights, t, col, col_err = _bessel_column(alpha, n, x)
+    h = factor(t)
     prefactor = math.exp(-x) * (-x) ** (-alpha / 2.0) / divisor
-    result = prefactor * (factor * float(rule.weights @ g))
-    err = prefactor * (factor * float(np.abs(rule.weights) @ g_err))
+    result = prefactor * (mass * float(weights @ (h * col)))
+    err = prefactor * (mass * float(np.abs(weights) @ (h * col_err)))
     if not (math.isfinite(result) and err <= _BUDGET_REL * max(abs(result), 1.0)):
         raise CutoffError(
             f"Bessel series round-off budget {err:.3g} exceeds "
@@ -255,12 +288,14 @@ def _bessel_integral(route: str, alpha: float, n: int, x: float, p: float, divis
 def laguerre_via_bessel(alpha: float, n: int, x: float) -> float:
     """L_n^alpha(-x) for x < 0 through its Bessel integral.
 
-    Evaluates (1/n!) e^-x (-x)^(-alpha/2) times the integral over
-    t in [0, T] of e^-t t^(n+alpha/2) J_alpha(2 sqrt(-t x)); the
-    algebraic origin factor t^(n+alpha) (Bessel part included) is
-    absorbed into the quadrature weight.
+    Evaluates e^-x (-x)^(-alpha/2) times the integral over t in [0, T]
+    of (e^-t t^n / n!) t^(alpha/2) J_alpha(2 sqrt(-t x)); the algebraic
+    origin factor t^alpha (Bessel part included) is absorbed into the
+    quadrature weight, and the Poisson factor e^-t t^n / n! is sampled
+    as exp(n log t - t - log n!), which stays in range at every n.
     """
-    return _bessel_integral("Bessel route", alpha, n, x, n + alpha, math.factorial(n))
+    return _bessel_integral("Bessel route", alpha, n, x, 1.0,
+                            lambda t: np.exp(n * np.log(t) - t - math.lgamma(n + 1.0)))
 
 
 def _inner_integral(n: int, c: int, t):
@@ -287,24 +322,44 @@ def _inner_integral(n: int, c: int, t):
     return 0.5 * t * (vals @ rule.weights)
 
 
+@functools.lru_cache(maxsize=_INNER_CACHE_SIZE)
+def _inner_factor(alpha: float, n: int, c: int) -> np.ndarray:
+    """e^-t I(t) / t^c on the outer nodes t at (alpha, n), I the inner integral.
+
+    It does not depend on x, so a table over an x grid builds it once
+    per order while it stays in the bounded cache; read-only because
+    every caller shares it.
+    """
+    t = _outer_rule(alpha, n)[2]
+    vals = np.exp(-t) * _inner_integral(n, c, t) / t**c
+    vals.setflags(write=False)
+    return vals
+
+
 def f_n_partial_sum(c: int, n: int, t: float) -> tuple[float, float]:
     """Both routes to f_n(t) = sum_{k<=n} t^k / ((k+c) k!), c a positive integer.
 
-    Returns (direct sum, integral form); the integral form is
-    t^-c integral_0^t theta^(c-1) e_n(theta) dtheta with e_n the
+    Returns (direct sum, integral form); the direct sum forms each
+    t^k / k! from the one before by the ratio t / k, and the integral
+    form is t^-c integral_0^t theta^(c-1) e_n(theta) dtheta with e_n the
     exponential partial sum, that is (1/n!) t^-c times the integral of
     theta^(n+c-1) 2F0(-n, 1; -; -1/theta), evaluated with a mapped
     Gauss-Legendre rule (the integrand is a polynomial, so the rule is
-    exact).
+    exact).  The integral form is evaluated first: near theta = t its
+    integrand is about t^(c-1) e_n(t), above every term t^k / k! of the
+    direct sum once t is large enough for either to overflow, so its
+    SeriesRangeError names the overflow.
     """
     if not (isinstance(c, (int, np.integer)) and c >= 1):
         raise ValueError("c must be a positive integer")
     if not t > 0.0:
         raise ValueError("the integral form needs t > 0")
-    direct = 0.0
-    for k in range(n + 1):
-        direct += t**k / ((k + c) * math.factorial(k))
-    return direct, float(_inner_integral(n, int(c), t)) * t ** (-c)
+    integral = float(_inner_integral(n, int(c), t)) * t ** (-c)
+    direct, term = 1.0 / c, 1.0
+    for k in range(1, n + 1):
+        term *= t / k
+        direct += term / (k + c)
+    return direct, integral
 
 
 def sobolev_laguerre_integral_rep(alpha: float, c: int, n: int, x: float) -> float:
@@ -315,13 +370,14 @@ def sobolev_laguerre_integral_rep(alpha: float, c: int, n: int, x: float) -> flo
     J_alpha(2 sqrt(-tx)) 2F0(-n, 1; -; -1/theta) over 0 < theta < t < T.
     The inner integrand is n! theta^(c-1) e_n(theta), so the n! cancels
     and the inner integral, a polynomial one, is exact; the outer
-    algebraic factor t^alpha is absorbed into the rule weight.
+    algebraic factor t^alpha is absorbed into the rule weight, and the
+    factor e^-t I(t) / t^c comes from ``_inner_factor``.
     """
     if not (isinstance(c, (int, np.integer)) and c >= 1):
         raise ValueError("c must be a positive integer")
     c = int(c)
-    return _bessel_integral("integral representation", alpha, n, x, alpha, gamma_fn(alpha + 1.0),
-                            lambda t: (_inner_integral(n, c, t), float(c)))
+    return _bessel_integral("integral representation", alpha, n, x, gamma_fn(alpha + 1.0),
+                            lambda t: _inner_factor(alpha, n, c))
 
 
 def sobolev_laguerre_closed_form(alpha: float, c: float, n: int, x) -> float:

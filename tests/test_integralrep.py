@@ -27,6 +27,12 @@ SCAN_W = np.linspace(0.0, 350.0, 400)
 ROUTE_X = (-0.1, -1.0, -5.0, -12.0)
 
 
+def clear_route_caches():
+    """Empty the Bessel column and inner factor caches, so a count starts cold."""
+    integralrep._bessel_column.cache_clear()
+    integralrep._inner_factor.cache_clear()
+
+
 class TestBessel:
     def test_at_zero(self):
         assert bessel_j(0.0, 0.0) == 1.0
@@ -91,6 +97,7 @@ class TestBesselSeriesKernel:
         kernel = integralrep._bessel_reg
         monkeypatch.setattr(integralrep, "_bessel_reg",
                             lambda nu, w, tol: calls.append((nu, np.array(w))) or kernel(nu, w, tol))
+        clear_route_caches()
         integral_rep_errors(0.5, 2, 6, (-0.5, -1.0, -5.0))
         monkeypatch.undo()
         assert len(calls) == 21
@@ -187,6 +194,22 @@ class TestLaguerreViaBessel:
         with pytest.raises(ValueError):
             laguerre_via_bessel(0.0, 2, 1.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 2.0])
+    @pytest.mark.parametrize("n", [150, 200, 300])
+    @pytest.mark.parametrize("x", [-0.1, -0.5])
+    def test_past_the_factorial_range(self, alpha, n, x):
+        # the rule's mass factor (T/2)^(n+alpha+1) and n! overflowed from n = 150;
+        # the Poisson factor e^-t t^n / n! is formed from its logarithm
+        mpmath = pytest.importorskip("mpmath")
+        ref = float(mpmath.laguerre(n, alpha, -x, zeroprec=300))
+        assert abs(laguerre_via_bessel(alpha, n, x) - ref) <= 1e-9 * max(abs(ref), 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.0])
+    def test_refused_at_high_order(self, alpha):
+        # at n = 1000 the series on [0, T] cancels beyond the budget
+        with pytest.raises(CutoffError):
+            laguerre_via_bessel(alpha, 1000, -0.5)
+
 
 class TestRouteOracles:
     """Both integral routes against mpmath, at the routes' own 1e-5."""
@@ -239,6 +262,18 @@ class TestPartialSumRoutes:
         d, i = f_n_partial_sum(c, 100, t)
         assert math.isfinite(i)
         assert abs(i - d) <= 1e-12 * abs(d)
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("n", [170, 300])
+    @pytest.mark.parametrize("t", [0.05, 0.7, 5.0, 20.0])
+    def test_past_the_factorial_range(self, c, n, t):
+        # (k + c) k! passed the largest double from n = 170 before the term ratio t / k
+        d, i = f_n_partial_sum(c, n, t)
+        assert abs(i - d) <= 1e-12 * abs(d)
+
+    def test_overflow_is_named(self):
+        with pytest.raises(SeriesRangeError, match=r"inner factor .* c = 1, n = 900 overflows"):
+            f_n_partial_sum(1, 900, 800.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -327,9 +362,50 @@ class TestRuleReuse:
         calls = []
         solver = quadrature._newton_rule
         monkeypatch.setattr(quadrature, "_newton_rule", lambda f, rc, n: calls.append(1) or solver(f, rc, n))
+        clear_route_caches()
         quadrature.family_rule.cache_clear()
         first = route()
         built = len(calls)
         assert built >= 1
         assert route() == first
         assert len(calls) == built
+
+
+class TestRouteCaches:
+    @pytest.mark.parametrize("first, second", [
+        (lambda: sobolev_laguerre_integral_rep(0.5, 2, 3, -1.5), lambda: laguerre_via_bessel(0.5, 3, -1.5)),
+        (lambda: laguerre_via_bessel(0.5, 3, -1.5), lambda: sobolev_laguerre_integral_rep(0.5, 2, 3, -1.5)),
+    ])
+    def test_second_route_sums_no_series(self, first, second, monkeypatch):
+        calls = []
+        kernel = integralrep._bessel_reg
+        monkeypatch.setattr(integralrep, "_bessel_reg", lambda nu, w, tol: calls.append(1) or kernel(nu, w, tol))
+        clear_route_caches()
+        first()
+        assert len(calls) == 1
+        second()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("x_grid", [(-0.5,), (-0.5, -1.0, -5.0), tuple(np.linspace(-0.2, -6.0, 7))])
+    def test_inner_integral_once_per_order(self, x_grid, monkeypatch):
+        calls = []
+        inner = integralrep._inner_integral
+        monkeypatch.setattr(integralrep, "_inner_integral", lambda n, c, t: calls.append(n) or inner(n, c, t))
+        clear_route_caches()
+        integral_rep_errors(0.5, 2, 4, x_grid)
+        assert calls == list(range(5))
+
+    def test_cached_arrays_are_read_only(self):
+        sobolev_laguerre_integral_rep(0.5, 2, 3, -1.5)
+        arrays = (*integralrep._bessel_column(0.5, 3, -1.5)[1:], integralrep._inner_factor(0.5, 3, 2))
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_caches_are_bounded(self):
+        clear_route_caches()
+        for x in np.linspace(-0.2, -6.0, integralrep._COLUMN_CACHE_SIZE + 4):
+            sobolev_laguerre_integral_rep(0.5, 1, 2, float(x))
+        assert integralrep._bessel_column.cache_info().currsize == integralrep._COLUMN_CACHE_SIZE
+        assert integralrep._inner_factor.cache_info().maxsize == integralrep._INNER_CACHE_SIZE

@@ -26,16 +26,12 @@ from .integralrep import (
 )
 from .kernels import (
     EigScaledKernel,
-    ModifiedKernelSpec,
     PlainKernel,
     SecondKind,
     chebyshev_bounds_check,
-    chebyshev_t,
-    chebyshev_t_with_derivative,
     generate_weights,
     jacobi_sobolev_poly,
     laguerre_sobolev_poly,
-    modified_kernel,
     quadratic_discriminant,
     second_kind_values,
     sobolev_poly,

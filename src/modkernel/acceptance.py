@@ -28,7 +28,7 @@ from .kernels import (
     chebyshev_bounds_check,
     generate_weights,
     quadratic_discriminant,
-    sobolev_poly,
+    sobolev_tables,
 )
 from .pencil import (
     WeightSequence,
@@ -191,6 +191,11 @@ def criterion_04_laguerre_sobolev_orthogonality(seed: int) -> Measurement:
                         for c in (0.1, 1.0, 10.0) for t0 in (0.0, 1.0)])
 
 
+def _ascending_coefficients(family, c: float, t0: float, n: int) -> np.ndarray:
+    # the monomial coefficients of u_n as its Taylor coefficients u_n^(j)(0) / j!
+    return sobolev_tables(family, c, t0, n, 0.0, n)[:, n] / [math.factorial(j) for j in range(n + 1)]
+
+
 @_criterion("criterion-05-chebyshev-fixtures", "explicit-low-order-coefficients")
 def criterion_05_chebyshev_explicit_fixtures(seed: int) -> Measurement:
     # explicit low-order coefficients and the degree-1 root, through both the
@@ -198,12 +203,12 @@ def criterion_05_chebyshev_explicit_fixtures(seed: int) -> Measurement:
     # larger of its absolute and relative forms
     readings = []
     for family, c in itertools.product((Chebyshev1(), Jacobi(-0.5, -0.5)), (0.1, 1.0, 10.0)):
-        p1 = math.pi * sobolev_poly(family, c, 1.0, 1)
-        p2 = math.pi * sobolev_poly(family, c, 1.0, 2)
-        root = -p1.coeffs[0] / p1.coeffs[1]
+        p1 = math.pi * _ascending_coefficients(family, c, 1.0, 1)
+        p2 = math.pi * _ascending_coefficients(family, c, 1.0, 2)
+        root = -p1[0] / p1[1]
         for got, ref in (
-            (p1.coeffs, [1.0 / c, 2.0 / (c + 1.0)]),
-            (p2.coeffs, [1.0 / c - 2.0 / (c + 4.0), 2.0 / (c + 1.0), 4.0 / (c + 4.0)]),
+            (p1, [1.0 / c, 2.0 / (c + 1.0)]),
+            (p2, [1.0 / c - 2.0 / (c + 4.0), 2.0 / (c + 1.0), 4.0 / (c + 4.0)]),
             ([root], [-(c + 1.0) / (2.0 * c)]),
         ):
             ref = np.asarray(ref)
@@ -214,7 +219,8 @@ def criterion_05_chebyshev_explicit_fixtures(seed: int) -> Measurement:
 
 @_criterion("criterion-06-chebyshev-bounds", "value-and-slope-bounds", budget_seconds=2.0)
 def criterion_06_chebyshev_bounds(seed: int) -> Measurement:
-    ok = all(chebyshev_bounds_check(c, n, 10001)[2] for c in (0.01, 1.0, 100.0) for n in range(21))
+    # orders 0..20 of each c from one table
+    ok = all(chebyshev_bounds_check(c, 20, 10001)[2] for c in (0.01, 1.0, 100.0))
     return Measurement(0.0 if ok else 1.0, {})
 
 
@@ -258,10 +264,10 @@ def criterion_10_integral_representation(seed: int) -> Measurement:
 @_criterion("criterion-11-discriminant-witness", "quadratic-discriminant-sign")
 def criterion_11_discriminant_witnesses(seed: int) -> Measurement:
     # negative degree-2 discriminants witness non-orthogonality
-    d_cheb = quadratic_discriminant(math.pi * sobolev_poly(Chebyshev1(), 0.1, 1.0, 2))
+    d_cheb = quadratic_discriminant(*(math.pi * _ascending_coefficients(Chebyshev1(), 0.1, 1.0, 2))[::-1])
     found_c = d_lag = None
     for c in (0.01, 0.02, 0.05, 0.1, 0.2, 0.5):
-        cand = quadratic_discriminant(sobolev_poly(LaguerreNeg(0.0), c, 0.0, 2))
+        cand = quadratic_discriminant(*_ascending_coefficients(LaguerreNeg(0.0), c, 0.0, 2)[::-1])
         if cand < 0.0:
             found_c, d_lag = c, cand
             break

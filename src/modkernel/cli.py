@@ -38,7 +38,6 @@ from .kernels import (
     EigScaledKernel,
     PlainKernel,
     SecondKind,
-    chebyshev_t_with_derivative,
     generate_weights,
     sobolev_tables,
     weighted_tables,
@@ -337,21 +336,22 @@ def cmd_plotdata(args) -> int:
     else:
         raise ValueError("empty grid")
     path = _out_path(args.emit, f"plot-{args.what}.csv") or f"plot-{args.what}.csv"
+    # value and exact slope of u_n from its derivative tables
+    if args.what == "kernel":
+        family = _parse_family(args)
+        rc = recurrence_coefficients(family, args.n)
+        u = weighted_tables(rc, orthonormal_values(rc, args.n, args.t0), xs, 1)[:, args.n]
+    elif args.what == "tn":
+        u = sobolev_tables(Chebyshev1(), args.c, 1.0, args.n, xs, 1)[:, args.n]
+    else:
+        family = Jacobi(args.alpha, args.beta) if args.what == "P" else LaguerreNeg(args.alpha)
+        u = sobolev_tables(family, args.c, args.t0, args.n, xs, 1)[:, args.n]
     if args.what == "tn":
-        val, der = chebyshev_t_with_derivative(args.c, args.n, xs)
         bound_v = 1.0 / (math.pi * args.c) + 2.0 * args.n / math.pi
         bound_d = 2.0 * args.n / math.pi
-        rows = zip(xs, val, der, [bound_v] * xs.size, [bound_d] * xs.size)
+        rows = zip(xs, u[0], u[1], [bound_v] * xs.size, [bound_d] * xs.size)
         text = _csv_text(["x", "value", "derivative", "bound_value", "bound_derivative"], rows)
     else:
-        # value and exact slope of u_n from its derivative tables
-        if args.what == "kernel":
-            family = _parse_family(args)
-            rc = recurrence_coefficients(family, args.n)
-            u = weighted_tables(rc, orthonormal_values(rc, args.n, args.t0), xs, 1)[:, args.n]
-        else:
-            family = Jacobi(args.alpha, args.beta) if args.what == "P" else LaguerreNeg(args.alpha)
-            u = sobolev_tables(family, args.c, args.t0, args.n, xs, 1)[:, args.n]
         text = _csv_text(["x", "value", "derivative"], zip(xs, u[0], u[1]))
     _atomic_write(path, text)
     print(path)

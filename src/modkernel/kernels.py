@@ -5,8 +5,8 @@ polynomials of degree <= n under the family measure.  Replacing the
 coefficients g_k(t) by an arbitrary positive sequence c_k gives the
 weighted sums u_n = sum c_k g_k studied throughout this package; the
 eigenvalue-scaled choice c_k = g_k(t0) / (c + spectral term) produces
-the Jacobi- and Laguerre-type Sobolev families, and the Chebyshev
-specialization t_n(c; x) admits fully explicit coefficients and bounds.
+the Jacobi- and Laguerre-type Sobolev families, whose Chebyshev case
+t_n(c; x) has fully explicit coefficients and bounds.
 """
 
 from __future__ import annotations
@@ -36,17 +36,13 @@ __all__ = [
     "PlainKernel",
     "EigScaledKernel",
     "SecondKind",
-    "ModifiedKernelSpec",
     "generate_weights",
-    "modified_kernel",
     "weighted_tables",
     "sobolev_tables",
     "second_kind_values",
     "sobolev_poly",
     "jacobi_sobolev_poly",
     "laguerre_sobolev_poly",
-    "chebyshev_t",
-    "chebyshev_t_with_derivative",
     "chebyshev_bounds_check",
     "quadratic_discriminant",
 ]
@@ -93,21 +89,6 @@ class SecondKind:
 WeightRule = Union[PlainKernel, EigScaledKernel, SecondKind]
 
 
-@dataclass(frozen=True)
-class ModifiedKernelSpec:
-    """A family together with a weight sequence (or a rule producing one)."""
-
-    family: FamilySpec
-    weights: Union[WeightSequence, WeightRule]
-    n_max: int
-
-    def resolve(self) -> tuple[RecurrenceCoefficients, WeightSequence]:
-        rc = recurrence_coefficients(self.family, self.n_max + 2)
-        if isinstance(self.weights, WeightSequence):
-            return rc, self.weights
-        return rc, generate_weights(self.family, rc, self.weights, self.n_max + 2)
-
-
 def generate_weights(
     family: FamilySpec, rc: RecurrenceCoefficients, rule: WeightRule, n_max: int
 ) -> WeightSequence:
@@ -131,22 +112,6 @@ def generate_weights(
             f"weight rule {rule!r} produced a nonpositive value {vals[bad[0]]} at index {int(bad[0])}"
         )
     return WeightSequence(vals)
-
-
-def modified_kernel(spec: ModifiedKernelSpec, n: int) -> DensePolynomial:
-    """u_n = sum_{k<=n} c_k g_k in the monomial coefficient basis.
-
-    The rows of ``coefficient_table`` scaled by c_k and summed in order
-    of degree; capped at ``COEFF_DEGREE_CAP`` like ``orthonormal_coeffs``.
-    """
-    if n > spec.n_max:
-        raise ValueError(f"n = {n} exceeds the spec range n_max = {spec.n_max}")
-    rc, w = spec.resolve()
-    w.require(n)
-    if n > COEFF_DEGREE_CAP:
-        raise ValueError(f"degree {n} exceeds the coefficient cap {COEFF_DEGREE_CAP}")
-    # cumsum adds the rows in order of degree; a matrix product may reorder the additions
-    return DensePolynomial(np.cumsum(w.c[: n + 1, None] * coefficient_table(rc, n), axis=0)[n])
 
 
 def sobolev_tables(family: FamilySpec, c: float, t0: float, n: int, x, order: int) -> np.ndarray:
@@ -182,10 +147,15 @@ def second_kind_values(rc: RecurrenceCoefficients, n: int, t) -> np.ndarray:
 def sobolev_poly(family: FamilySpec, c: float, t0: float, n: int) -> DensePolynomial:
     """Eigenvalue-scaled kernel sum of order n: weights g_k(t0) / (c + spectral term).
 
-    The modified kernel with ``EigScaledKernel(c, t0)``; needs c > 0 and
-    t0 at or beyond the support edge.
+    Needs c > 0 and t0 at or beyond the support edge.  The weighted rows of
+    ``coefficient_table`` summed in order of degree; capped at ``COEFF_DEGREE_CAP``.
     """
-    return modified_kernel(ModifiedKernelSpec(family, EigScaledKernel(c, t0), n), n)
+    rc = recurrence_coefficients(family, n + 2)
+    w = generate_weights(family, rc, EigScaledKernel(c, t0), n + 2)
+    if n > COEFF_DEGREE_CAP:
+        raise ValueError(f"degree {n} exceeds the coefficient cap {COEFF_DEGREE_CAP}")
+    # cumsum adds the rows in order of degree; a matrix product may reorder the additions
+    return DensePolynomial(np.cumsum(w.c[: n + 1, None] * coefficient_table(rc, n), axis=0)[n])
 
 
 def jacobi_sobolev_poly(alpha: float, beta: float, c: float, t0: float, n: int) -> DensePolynomial:
@@ -198,44 +168,27 @@ def laguerre_sobolev_poly(alpha: float, c: float, t0: float, n: int) -> DensePol
     return sobolev_poly(LaguerreNeg(alpha), c, t0, n)
 
 
-def chebyshev_t(c: float, n: int, x) -> float:
-    """t_n(c; x) = 1/(pi c) + (2/pi) sum_{k=1}^n T_k(x)/(k^2 + c)."""
-    acc, _ = chebyshev_t_with_derivative(c, n, x)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(acc)
-    return acc
+def chebyshev_bounds_check(c: float, n_max: int, grid_size: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Grid maxima of |t_n| and |t_n'| on [-1, 1] for n = 0..n_max, and whether all keep the bounds.
 
-
-def chebyshev_t_with_derivative(c: float, n: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """(t_n(c; x), t_n'(c; x)): the Chebyshev Sobolev kernel sum at t0 = 1."""
-    if not c > 0.0:
-        raise ValueError("c must be positive")
-    val, der = sobolev_tables(Chebyshev1(), c, 1.0, n, x, 1)[:, n]
-    return val, der
-
-
-def chebyshev_bounds_check(c: float, n: int, grid_size: int) -> tuple[float, float, bool]:
-    """Grid maxima of |t_n| and |t_n'| on [-1, 1] against the explicit bounds.
-
-    The grid joins ``grid_size`` uniform points with the same number of
-    Chebyshev nodes; the bounds |t_n| <= 1/(pi c) + 2n/pi and
-    |t_n'| <= 2n/pi hold pointwise, so a grid check is sound.
+    t_n(c; x) = 1/(pi c) + (2/pi) sum_{k=1}^n T_k(x)/(k^2 + c), the Chebyshev1
+    kernel sum at t0 = 1: one ``sobolev_tables`` call holds every order.  The
+    grid joins ``grid_size`` uniform points with as many Chebyshev nodes; the
+    bounds |t_n| <= 1/(pi c) + 2n/pi and |t_n'| <= 2n/pi hold pointwise.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     uniform = np.linspace(-1.0, 1.0, grid_size)
     cheb = np.cos((2.0 * np.arange(1, grid_size + 1) - 1.0) * math.pi / (2.0 * grid_size))
     grid = np.concatenate([uniform, cheb])
-    val, der = chebyshev_t_with_derivative(c, n, grid)
-    max_val = float(np.abs(val).max())
-    max_der = float(np.abs(der).max())
-    ok = max_val <= 1.0 / (math.pi * c) + 2.0 * n / math.pi and max_der <= 2.0 * n / math.pi
+    max_val, max_der = np.abs(sobolev_tables(Chebyshev1(), c, 1.0, n_max, grid, 1)).max(axis=2)
+    n = np.arange(n_max + 1.0)
+    ok = bool(np.all(max_val <= 1.0 / (math.pi * c) + 2.0 * n / math.pi) and np.all(max_der <= 2.0 * n / math.pi))
     return max_val, max_der, ok
 
 
-def quadratic_discriminant(u2: DensePolynomial) -> float:
-    """B^2 - 4AC for a degree-2 polynomial A x^2 + B x + C."""
-    if u2.degree != 2:
-        raise ValueError(f"discriminant needs a degree-2 polynomial, got degree {u2.degree}")
-    cc, bb, aa = u2.coeffs
-    return float(bb * bb - 4.0 * aa * cc)
+def quadratic_discriminant(a: float, b: float, c: float) -> float:
+    """b^2 - 4ac of the quadratic a x^2 + b x + c; a must be nonzero."""
+    if a == 0.0:
+        raise ValueError("a quadratic needs a nonzero leading coefficient")
+    return float(b * b - 4.0 * a * c)

@@ -438,7 +438,7 @@ class Chebyshev1(_JacobiType):
 
     def recurrence(self, n_max: int) -> RecurrenceCoefficients:
         a_hat = np.full(n_max + 1, 0.5)
-        a_hat[0] = 1.0 / math.sqrt(2.0)
+        a_hat[0] = math.sqrt(0.5)
         return RecurrenceCoefficients(a_hat=a_hat, b_hat=np.zeros(n_max + 1), mu0=math.pi)
 
     def moments(self, k_max: int) -> np.ndarray:

@@ -335,7 +335,7 @@ def orthonormal_coeffs_loop(rc, n: int) -> list:
 def modified_kernel_accumulation(rc, c, n: int):
     """u_n = sum c_k g_k as a running sum of polynomials, degree by degree.
 
-    The accumulation ``modified_kernel`` ran before it summed the rows of
+    The accumulation ``sobolev_poly`` ran before it summed the rows of
     one coefficient table; returns a ``DensePolynomial``.
     """
     acc = DensePolynomial.zero()

@@ -9,8 +9,13 @@ PASS/FAIL line per criterion.
 import itertools
 import math
 
+import numpy as np
+import pytest
+
 from modkernel import acceptance
 from modkernel.acceptance import CRITERIA, evaluate
+from modkernel.kernels import quadratic_discriminant, sobolev_poly
+from modkernel.polycore import Chebyshev1, Jacobi, LaguerreNeg
 
 
 def _criterion_test(criterion):
@@ -42,3 +47,20 @@ def test_nan_case_reading_fails_its_criterion(monkeypatch):
     verdict = evaluate(criterion)
     assert next(calls) == 12
     assert not verdict.passed and math.isnan(verdict.measured)
+
+
+# the 12 coefficient sets of criterion 05 and the 7 quadratics of criterion 11
+CRITERION_05_CASES = [(family, c, 1.0, n) for family in (Chebyshev1(), Jacobi(-0.5, -0.5))
+                      for c in (0.1, 1.0, 10.0) for n in (1, 2)]
+CRITERION_11_CASES = [(Chebyshev1(), 0.1, 1.0, 2)] + [
+    (LaguerreNeg(0.0), c, 0.0, 2) for c in (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)]
+
+
+@pytest.mark.parametrize("family, c, t0, n", CRITERION_05_CASES + CRITERION_11_CASES)
+def test_taylor_coefficients_equal_the_monomial_route(family, c, t0, n):
+    # the battery's Taylor coefficients u^(j)(0) / j! are the monomial sum's coefficients, bit for bit
+    got = acceptance._ascending_coefficients(family, c, t0, n)
+    ref = sobolev_poly(family, c, t0, n).coeffs
+    assert np.array_equal(got, ref)
+    if n == 2:
+        assert quadratic_discriminant(*got[::-1]) == quadratic_discriminant(*ref[::-1])

@@ -1,29 +1,25 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
+from modkernel import kernels
 from modkernel.kernels import (
     EigScaledKernel,
-    ModifiedKernelSpec,
     PlainKernel,
     SecondKind,
     chebyshev_bounds_check,
-    chebyshev_t,
-    chebyshev_t_with_derivative,
     generate_weights,
     jacobi_sobolev_poly,
     laguerre_sobolev_poly,
-    modified_kernel,
     quadratic_discriminant,
     second_kind_values,
     sobolev_poly,
+    sobolev_tables,
     weighted_tables,
 )
 from modkernel.polycore import (
     Chebyshev1,
-    DensePolynomial,
     Jacobi,
     LaguerreNeg,
     orthonormal_values,
@@ -98,36 +94,37 @@ class TestPlainKernelOrthogonality:
 
 
 class TestModifiedKernel:
+    """The modified kernel u_n = sum c_k g_k for any weights, from ``weighted_tables``."""
+
     def test_constant_term(self):
-        spec = ModifiedKernelSpec(Chebyshev1(), PlainKernel(1.0), 8)
-        u0 = modified_kernel(spec, 0)
         rc = recurrence_coefficients(Chebyshev1(), 2)
+        w = generate_weights(Chebyshev1(), rc, PlainKernel(1.0), 0)
         # c_0 g_0 with c_0 = g_0(1)
-        assert u0.coeffs[0] == pytest.approx(rc.g0 * rc.g0, rel=1e-13)
+        assert weighted_tables(rc, w.c, 0.3, 0)[0, 0] == pytest.approx(rc.g0 * rc.g0, rel=1e-13)
 
     def test_plain_kernel_weights_reproduce_kernel(self):
-        spec = ModifiedKernelSpec(Jacobi(0.5, -0.3), PlainKernel(1.2), 9)
+        rc = recurrence_coefficients(Jacobi(0.5, -0.3), 9)
         xs = np.linspace(-1, 1, 9)
+        u = weighted_tables(rc, generate_weights(Jacobi(0.5, -0.3), rc, PlainKernel(1.2), 9).c, xs, 0)[0]
         for n in (2, 6, 9):
-            u = modified_kernel(spec, n)
             ref = kernel_poly(Jacobi(0.5, -0.3), 1.2, n, xs)
-            np.testing.assert_allclose(u(xs), ref, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(u[n], ref, rtol=1e-10, atol=1e-12)
 
     def test_eig_scaled_weights_match_sobolev_family(self):
-        spec = ModifiedKernelSpec(LaguerreNeg(0.5), EigScaledKernel(2.0, 0.3), 8)
+        rc = recurrence_coefficients(LaguerreNeg(0.5), 8)
         xs = np.linspace(-6, 0, 9)
+        u = weighted_tables(rc, generate_weights(LaguerreNeg(0.5), rc, EigScaledKernel(2.0, 0.3), 8).c, xs, 0)[0]
         for n in (1, 5, 8):
-            u = modified_kernel(spec, n)
             ref = laguerre_sobolev_poly(0.5, 2.0, 0.3, n)
-            np.testing.assert_allclose(u(xs), ref(xs), rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(u[n], ref(xs), rtol=1e-10, atol=1e-12)
 
     def test_values_route_matches_polynomials(self):
-        spec = ModifiedKernelSpec(Chebyshev1(), PlainKernel(1.0), 10)
+        rc = recurrence_coefficients(Chebyshev1(), 10)
+        w = generate_weights(Chebyshev1(), rc, PlainKernel(1.0), 10)
         xs = np.linspace(-1, 1, 7)
-        rc, w = spec.resolve()
-        tables = weighted_tables(rc, w.c[:11], xs, 2)
+        tables = weighted_tables(rc, w.c, xs, 2)
         for n in (0, 4, 10):
-            p = modified_kernel(spec, n)
+            p = modified_kernel_accumulation(rc, w.c, n)
             np.testing.assert_allclose(tables[0, n], p(xs), rtol=1e-11, atol=1e-12)
             for j in (1, 2):
                 p = p.derivative()
@@ -135,21 +132,18 @@ class TestModifiedKernel:
                 np.testing.assert_allclose(tables[j, n], p(xs), rtol=1e-11, atol=1e-12 * max(1.0, np.abs(p(xs)).max()))
 
     def test_explicit_weight_sequence(self):
-        from modkernel.pencil import WeightSequence
-
-        spec = ModifiedKernelSpec(Chebyshev1(), WeightSequence(np.ones(12)), 6)
-        u2 = modified_kernel(spec, 2)
         rc = recurrence_coefficients(Chebyshev1(), 4)
         xs = np.linspace(-1, 1, 5)
         ref = orthonormal_values(rc, 2, xs).sum(axis=0)
-        np.testing.assert_allclose(u2(xs), ref, rtol=1e-12)
+        np.testing.assert_allclose(weighted_tables(rc, np.ones(3), xs, 0)[0, 2], ref, rtol=1e-12)
 
     def test_range_check(self):
-        spec = ModifiedKernelSpec(Chebyshev1(), PlainKernel(1.0), 4)
-        with pytest.raises(ValueError):
-            modified_kernel(spec, 5)
+        rc = recurrence_coefficients(Chebyshev1(), 4)
+        # seven weights need the recurrence data to index 5, one past what rc holds
+        with pytest.raises(ValueError, match="outside the computed range"):
+            weighted_tables(rc, np.ones(7), 0.5, 0)
         with pytest.raises(ValueError, match="nonnegative"):
-            modified_kernel(spec, -1)
+            sobolev_tables(Chebyshev1(), 1.0, 1.0, -1, 0.5, 0)
 
 
 class TestWeightRules:
@@ -259,52 +253,75 @@ class TestSobolevFamilies:
             laguerre_sobolev_poly(-1.2, 1.0, 0.0, 2)
 
 
+def _t(c: float, n: int, x, order: int = 1) -> np.ndarray:
+    """t_n(c; x) and its derivatives: column n of the Chebyshev1 tables at t0 = 1."""
+    return sobolev_tables(Chebyshev1(), c, 1.0, n, x, order)[:, n]
+
+
 class TestChebyshevSpecialization:
     def test_order_zero(self):
-        assert chebyshev_t(2.0, 0, 0.3) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
+        assert _t(2.0, 0, 0.3, 0)[0] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
 
     def test_degree_one_root(self):
         for c in (0.1, 1.0, 10.0):
             root = -(c + 1.0) / (2.0 * c)
-            assert chebyshev_t(c, 1, root) == pytest.approx(0.0, abs=1e-15)
+            assert _t(c, 1, root, 0)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_jacobi_sobolev(self):
         xs = np.linspace(-1, 1, 11)
         for c in (0.25, 4.0):
             for n in (0, 1, 5, 9):
                 p = jacobi_sobolev_poly(-0.5, -0.5, c, 1.0, n)
-                got = np.array([chebyshev_t(c, n, float(x)) for x in xs])
-                np.testing.assert_allclose(got, p(xs), rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(_t(c, n, xs, 0)[0], p(xs), rtol=1e-10, atol=1e-12)
 
     def test_derivative_consistency(self):
         xs = np.linspace(-0.99, 0.99, 11)
-        val, der = chebyshev_t_with_derivative(1.0, 6, xs)
+        der = _t(1.0, 6, xs)[1]
         h = 1e-6
-        fd = (np.array([chebyshev_t(1.0, 6, float(x) + h) for x in xs])
-              - np.array([chebyshev_t(1.0, 6, float(x) - h) for x in xs])) / (2 * h)
+        fd = (_t(1.0, 6, xs + h, 0)[0] - _t(1.0, 6, xs - h, 0)[0]) / (2 * h)
         np.testing.assert_allclose(der, fd, rtol=1e-6, atol=1e-8)
 
     def test_bounds_order_zero_exact(self):
         max_val, max_der, ok = chebyshev_bounds_check(3.0, 0, 101)
-        assert max_val == pytest.approx(1.0 / (3.0 * math.pi), rel=1e-15)
-        assert max_der == 0.0 and ok
+        assert max_val[0] == pytest.approx(1.0 / (3.0 * math.pi), rel=1e-15)
+        assert max_der[0] == 0.0 and ok
 
     @pytest.mark.parametrize("c", [0.01, 1.0, 100.0])
     @pytest.mark.parametrize("n", [1, 5, 10, 20])
     def test_bounds_hold(self, c, n):
         max_val, max_der, ok = chebyshev_bounds_check(c, n, 2001)
-        assert ok
-        assert max_val <= 1.0 / (math.pi * c) + 2.0 * n / math.pi
-        assert max_der <= 2.0 * n / math.pi
+        assert ok and max_val.shape == max_der.shape == (n + 1,)
+        orders = np.arange(n + 1)
+        assert np.all(max_val <= 1.0 / (math.pi * c) + 2.0 * orders / math.pi)
+        assert np.all(max_der <= 2.0 * orders / math.pi)
+
+    @pytest.mark.parametrize("c", [0.01, 1.0, 100.0])
+    def test_order_range_entries_match_single_order_tables(self, c):
+        # entry n of the order range reads what a table built to order n alone reads
+        max_val, max_der, _ = chebyshev_bounds_check(c, 20, 10001)
+        for n in (0, 1, 5, 20):
+            val_n, der_n, _ = chebyshev_bounds_check(c, n, 10001)
+            assert max_val[n] == val_n[n] and max_der[n] == der_n[n]
+
+    def test_violation_at_one_order_fails_the_range(self, monkeypatch):
+        real = kernels.sobolev_tables
+
+        def tenfold_order_3(*args):
+            u = real(*args)
+            u[:, 3] *= 10.0
+            return u
+
+        monkeypatch.setattr(kernels, "sobolev_tables", tenfold_order_3)
+        assert not chebyshev_bounds_check(1.0, 5, 101)[2]
 
 
 class TestDiscriminant:
     def test_simple_quadratic(self):
-        assert quadratic_discriminant(DensePolynomial([-1.0, 0.0, 1.0])) == pytest.approx(4.0)
+        assert quadratic_discriminant(1.0, 0.0, -1.0) == pytest.approx(4.0)
 
     def test_degree_check(self):
-        with pytest.raises(ValueError):
-            quadratic_discriminant(DensePolynomial([1.0, 2.0]))
+        with pytest.raises(ValueError, match="nonzero leading coefficient"):
+            quadratic_discriminant(0.0, 2.0, 1.0)
 
     def test_chebyshev_small_shift_negative(self):
         # direct arithmetic on the explicit degree-2 coefficients at c = 0.1
@@ -313,8 +330,8 @@ class TestDiscriminant:
         b = 2.0 / (c + 1.0)
         const = 1.0 / c - 2.0 / (c + 4.0)
         ref = b * b - 4.0 * a * const
-        p2 = math.pi * jacobi_sobolev_poly(-0.5, -0.5, c, 1.0, 2)
-        got = quadratic_discriminant(p2)
+        cc, bb, aa = math.pi * jacobi_sobolev_poly(-0.5, -0.5, c, 1.0, 2).coeffs
+        got = quadratic_discriminant(aa, bb, cc)
         assert got == pytest.approx(ref, rel=1e-12)
         assert got < 0.0
         assert got == pytest.approx(-33.815, abs=5e-3)
@@ -322,7 +339,7 @@ class TestDiscriminant:
     def test_laguerre_small_shift_negative_somewhere(self):
         found = None
         for c in (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0):
-            d = quadratic_discriminant(laguerre_sobolev_poly(0.0, c, 0.0, 2))
+            d = quadratic_discriminant(*laguerre_sobolev_poly(0.0, c, 0.0, 2).coeffs[::-1])
             if d < 0.0:
                 found = (c, d)
                 break
@@ -350,25 +367,14 @@ class TestMonomialRouteOracle:
     @pytest.mark.parametrize("family,c,t0", ORACLE_CASES)
     def test_sobolev_poly_equals_the_running_sum(self, family, c, t0):
         for n in range(41):
-            rc, w = ModifiedKernelSpec(family, EigScaledKernel(c, t0), n).resolve()
+            rc = recurrence_coefficients(family, n + 2)
+            w = generate_weights(family, rc, EigScaledKernel(c, t0), n + 2)
             ref = modified_kernel_accumulation(rc, w.c, n)
             assert np.array_equal(sobolev_poly(family, c, t0, n).coeffs, ref.coeffs)
-
-    @pytest.mark.parametrize("family,c,t0", ORACLE_CASES)
-    def test_plain_and_explicit_weights(self, family, c, t0):
-        from modkernel.pencil import WeightSequence
-
-        weights = np.random.default_rng(7).uniform(0.1, 10.0, 43)
-        for rule in (PlainKernel(t0), WeightSequence(weights)):
-            spec = ModifiedKernelSpec(family, rule, 40)
-            rc, w = spec.resolve()
-            for n in (0, 1, 2, 9, 25, 40):
-                assert np.array_equal(modified_kernel(spec, n).coeffs, modified_kernel_accumulation(rc, w.c, n).coeffs)
 
 
 class TestCoefficientCap:
     CALLS = {
-        "modified_kernel": lambda n: modified_kernel(ModifiedKernelSpec(Chebyshev1(), PlainKernel(1.0), n), n),
         "sobolev_poly": lambda n: sobolev_poly(Jacobi(1.5, 0.5), 2.0, 1.2, n),
         "jacobi_sobolev_poly": lambda n: jacobi_sobolev_poly(0.5, -0.3, 1.0, 1.5, n),
         "laguerre_sobolev_poly": lambda n: laguerre_sobolev_poly(0.5, 1.0, 0.0, n),

@@ -114,6 +114,11 @@ class TestRecurrenceCoefficients:
         assert rc.mu0 == pytest.approx(math.pi, rel=1e-13)
         assert rc.g0 == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-13)
 
+    def test_chebyshev_first_entry_is_the_jacobi_one(self):
+        # sqrt(1/2) correctly rounded, the value Jacobi(-1/2, -1/2) forms, not 1/sqrt(2)
+        a0 = recurrence_coefficients(Chebyshev1(), 2).a_hat[0]
+        assert a0 == recurrence_coefficients(Jacobi(-0.5, -0.5), 2).a_hat[0] == math.sqrt(0.5)
+
     def test_laguerre_closed_form(self):
         alpha = 0.7
         rc = recurrence_coefficients(LaguerreNeg(alpha), 8)

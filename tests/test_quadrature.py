@@ -32,6 +32,11 @@ def test_chebyshev_closed_form_rule():
     np.testing.assert_allclose(rule.weights, math.pi / 12, rtol=1e-12)
 
 
+def test_chebyshev_two_point_rule_is_exact():
+    rule = gauss_rule(Chebyshev1(), recurrence_coefficients(Chebyshev1(), 2), 2)
+    assert rule.nodes.tolist() == [-math.cos(math.pi / 4), math.cos(math.pi / 4)]
+
+
 def test_legendre_two_point_rule():
     fam = Jacobi(0.0, 0.0)
     rc = recurrence_coefficients(fam, 4)

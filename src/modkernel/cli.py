@@ -26,7 +26,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -155,12 +155,26 @@ def _csv_text(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _refuse_unread(args, context: str, defaults: dict) -> None:
+    """Refuse an option that ``context`` does not read; one left at its default passes."""
+    for name, default in defaults.items():
+        if getattr(args, name) != default:
+            raise ValueError(f"{context} takes no --{name}, got {getattr(args, name)}")
+
+
 def _parse_family(args) -> FamilySpec:
     if args.family == "jacobi":
         return Jacobi(args.alpha, args.beta)
     if args.family == "laguerre":
+        _refuse_unread(args, "--family laguerre", {"beta": 0.0})
         return LaguerreNeg(args.alpha)
+    _refuse_unread(args, "--family chebyshev", {"alpha": 0.0, "beta": 0.0})
     return Chebyshev1()
+
+
+def _family_parameters(family: FamilySpec) -> dict:
+    """The report parameters that select the family: its name and its alpha and beta, where it takes them."""
+    return {"family": family.name, **asdict(family)}
 
 
 def _finish(report: ReportDocument, emit: str | None, default_name: str) -> int:
@@ -226,7 +240,7 @@ def cmd_pencil(args) -> int:
     rc = recurrence_coefficients(family, cover)
     w = parse_weight_source(args.c, family, rc, cover, args.seed)
     pen = build_pencil_formulas(rc, w, n_max + 1)
-    report = _new_report("pencil", args.seed, family=family.name, weights=args.c, n_max=n_max)
+    report = _new_report("pencil", args.seed, **_family_parameters(family), weights=args.c, n_max=n_max)
     report.add(
         "definition-positivity",
         "pencil-band-signs",
@@ -260,7 +274,7 @@ def cmd_gram(args) -> int:
     family = _parse_family(args)
     gram = sobolev_gram(family, args.c, args.t0, args.nmax)
     meas = gram_offdiagonal_measures(gram)
-    report = _new_report("gram", args.seed, family=family.name, c=args.c, t0=args.t0, n_max=args.nmax)
+    report = _new_report("gram", args.seed, **_family_parameters(family), c=args.c, t0=args.t0, n_max=args.nmax)
     report.add(
         "diagonal-positivity",
         "sobolev-gram-diagonal",
@@ -285,7 +299,7 @@ def cmd_gram(args) -> int:
 
 def cmd_diffcheck(args) -> int:
     family, c, n_max = _parse_family(args), args.c, args.nmax
-    report = _new_report("diffcheck", args.seed, family=family.name, c=c, t0=args.t0, n_max=n_max)
+    report = _new_report("diffcheck", args.seed, **_family_parameters(family), c=c, t0=args.t0, n_max=n_max)
     per_n = verify_eigen_relation(family, c, n_max)
     # np.max, unlike max, reads NaN when any degree does
     report.add("eigen-relation", "second-order-operator-eigenvalues", np.max(per_n), per_n=per_n)
@@ -327,7 +341,13 @@ def cmd_integralcheck(args) -> int:
     return _finish(report, args.emit, "integralcheck-report.json")
 
 
+# plotdata's family, parameter, weight and point options, and those each branch does not read
+_PLOT_DEFAULTS = {"family": "chebyshev", "alpha": 0.0, "beta": 0.0, "c": 1.0, "t0": 1.0}
+_PLOT_UNREAD = {"tn": ("family", "alpha", "beta", "t0"), "P": ("family",), "L": ("family", "beta"), "kernel": ("c",)}
+
+
 def cmd_plotdata(args) -> int:
+    _refuse_unread(args, f"plotdata --what {args.what}", {k: _PLOT_DEFAULTS[k] for k in _PLOT_UNREAD[args.what]})
     grid_vals = [float(v) for v in args.grid.split(",") if v]
     if len(grid_vals) == 3 and grid_vals[2] == int(grid_vals[2]) and grid_vals[2] > 1:
         xs = np.linspace(grid_vals[0], grid_vals[1], int(grid_vals[2]))
@@ -433,14 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_integralcheck)
 
     p = sub.add_parser("plotdata", help="CSV of values and derivatives over a grid")
-    p.add_argument("--what", required=True, choices=["tn", "P", "L", "kernel"])
-    _add_family(p, default="chebyshev")
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--t0", type=float, default=1.0)
+    p.add_argument("--what", required=True, choices=list(_PLOT_UNREAD))
+    _add_family(p)
+    p.add_argument("--c", type=float)
+    p.add_argument("--t0", type=float)
     p.add_argument("--n", type=_nonnegative_int, default=5)
     p.add_argument("--grid", default="-1,1,1001", help="lo,hi,count or an explicit comma list")
     _add_common(p)
-    p.set_defaults(func=cmd_plotdata)
+    p.set_defaults(func=cmd_plotdata, **_PLOT_DEFAULTS)
 
     p = sub.add_parser("selftest", help="run the full acceptance battery")
     _add_common(p)

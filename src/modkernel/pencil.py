@@ -17,11 +17,14 @@ Row n of the pencil relation reads
 with p_{-2} = p_{-1} = 0 and gamma_{-2} = gamma_{-1} = a_{-1} =
 beta_{-1} = 0, started from p_0 = 1, p_1 = alpha_tilde*lambda + beta_tilde.
 
-``associated_values`` solves each row for p_{n+2} in turn; the
-coefficients alpha_n - lambda b_n and beta_n - lambda a_n are formed for
-all rows before that sweep.  ``five_term_residual`` forms the terms of
-every row in one array pass and adds them in the order the row lists
-them, so its reading equals a row-by-row sum bit for bit.
+``associated_values`` solves each row for p_{n+2} in turn.  The four
+coefficients of p_{n-2}..p_{n+1} in every row are stacked before that
+sweep, so a row costs one product of its coefficients with four values,
+three additions and one division, whatever the number of sample points;
+at the few dozen points of a sweep the cost is the count of numpy calls,
+not the arithmetic.  ``five_term_residual`` forms the terms of every row
+in one array pass and adds them in the order the row lists them.  Both
+equal a row-by-row loop bit for bit.
 """
 
 from __future__ import annotations
@@ -106,30 +109,41 @@ def build_pencil_formulas(rc: RecurrenceCoefficients, w: WeightSequence, n_max: 
     """Pencil bands for rows 0..n_max from the explicit entry formulas.
 
     Needs weights up to index n_max + 2 and recurrence data up to
-    n_max + 1.
+    n_max + 1.  The terms 1/c_k^2, b_k/c_k^2 and a_k/(c_k c_{k+1}) are
+    formed once, and the bands read them as slices.  Raises ValueError
+    naming the first weight c_k, k <= n_max + 1, so large or so small
+    that 1/c_k^2 reads 0 or inf.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     w.require(n_max + 2)
     rc.require(n_max + 1)
-    c = w.c
-    ah, bh = rc.a_hat, rc.b_hat
-    n = np.arange(n_max + 1)
-    a = 1.0 / c[n + 1] ** 2
-    b = -1.0 / c[n] ** 2 - 1.0 / c[n + 1] ** 2
-    alpha = 2.0 * ah[n] / (c[n] * c[n + 1]) - bh[n] / c[n] ** 2 - bh[n + 1] / c[n + 1] ** 2
-    beta = bh[n + 1] / c[n + 1] ** 2 - ah[n + 1] / (c[n + 1] * c[n + 2]) - ah[n] / (c[n] * c[n + 1])
-    gamma = ah[n + 1] / (c[n + 1] * c[n + 2])
-    alpha_tilde = c[1] / (c[0] * ah[0])
-    beta_tilde = 1.0 - c[1] * bh[0] / (c[0] * ah[0])
+    m = n_max + 1
+    c, ah, bh = w.c[: m + 2], rc.a_hat[: m + 1], rc.b_hat[: m + 1]
+    with np.errstate(over="ignore", divide="ignore"):
+        sq = c[:-1] * c[:-1]
+        inv = 1.0 / sq
+    lost = ~((inv > 0.0) & (inv < np.inf))
+    if lost.any():
+        k = int(lost.argmax())
+        raise ValueError(f"weight c[{k}] = {c[k]:.6g} is outside the pencil's range: 1/c[{k}]^2 reads {inv[k]:g}")
+    cc = c[:-1] * c[1:]
+    q = ah / cc
+    bq = bh / sq
+    # 2 a_k / (c_k c_{k+1}) as written: doubling q_k can round differently
+    # where q_k is subnormal
+    alpha = 2.0 * ah[:m] / cc[:m] - bq[:m]
+    alpha -= bq[1:]
+    beta = bq[1:] - q[1:]
+    beta -= q[:m]
     return JacobiTypePencil(
-        a=a,
-        b=b,
+        a=inv[1:],
+        b=-inv[:m] - inv[1:],
         alpha_band=alpha,
         beta_band=beta,
-        gamma_band=gamma,
-        alpha_tilde=alpha_tilde,
-        beta_tilde=beta_tilde,
+        gamma_band=q[1:],
+        alpha_tilde=c[1] / (c[0] * ah[0]),
+        beta_tilde=1.0 - c[1] * bh[0] / (c[0] * ah[0]),
     )
 
 
@@ -184,28 +198,36 @@ def associated_values(p: JacobiTypePencil, lambdas, n: int) -> np.ndarray:
 
     Runs the five-term relation pointwise, which avoids the monomial
     basis entirely; returns shape (n+1, len(lambdas)).  The coefficients
-    alpha_k - lambda b_k and beta_k - lambda a_k are formed for every row
-    before the sweep, which then does only the recurrence.
+    of every row are stacked before the sweep, so each row is one product
+    of its four coefficients with p_{k-2}..p_{k+1}, summed in the order
+    the row lists its terms and divided by -gamma_k: s / (-gamma_k) is
+    -s / gamma_k exactly, apart from the sign bit of a NaN.
     """
     lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if n >= 2 and p.n_max < n - 2:
         raise ValueError(f"pencil bands cover rows 0..{p.n_max}, need 0..{n - 2}")
-    out = np.zeros((n + 1, lam.size))
+    # p_{-2} = p_{-1} = -0.0, the additive identity: their terms read -0.0
+    # and leave the sums of rows 0 and 1 as they were, signed zeros included
+    padded = np.zeros((n + 3, lam.size))
+    padded[:2] = -0.0
+    out = padded[2:]
     out[0] = 1.0
     if n >= 1:
         out[1] = p.alpha_tilde * lam + p.beta_tilde
     rows = max(n - 1, 0)
-    diag = p.alpha_band[:rows, None] - lam * p.b[:rows, None]
-    off = p.beta_band[:rows, None] - lam * p.a[:rows, None]
-    gamma = p.gamma_band[:rows].tolist()
+    # row k's coefficients of p_{k-2}, p_{k-1}, p_k and p_{k+1}, 0 where the index is negative
+    coef = np.zeros((rows, 4, lam.size))
+    np.subtract(p.alpha_band[:rows, None], lam * p.b[:rows, None], out=coef[:, 2])
+    np.subtract(p.beta_band[:rows, None], lam * p.a[:rows, None], out=coef[:, 3])
+    coef[1:, 1] = coef[:-1, 3]
+    coef[2:, 0] = p.gamma_band[: max(rows - 2, 0), None]
+    neg_gamma = (-p.gamma_band[:rows]).tolist()
     for k in range(rows):
-        s = diag[k] * out[k]
-        s += off[k] * out[k + 1]
-        if k >= 1:
-            s += off[k - 1] * out[k - 1]
-        if k >= 2:
-            s += gamma[k - 2] * out[k - 2]
-        out[k + 2] = -s / gamma[k]
+        t = coef[k] * padded[k : k + 4]
+        s = t[2] + t[3]
+        s += t[1]
+        s += t[0]
+        np.divide(s, neg_gamma[k], out=padded[k + 4])
     return out
 
 

@@ -478,26 +478,50 @@ def derivative_tables(rc: RecurrenceCoefficients, n: int, x, order: int) -> np.n
 
         a_k g^(j)_{k+1} = (x - b_k) g^(j)_k + j g^(j-1)_k - a_{k-1} g^(j)_{k-1},
 
-    runs one order at a time (order j needs only the finished order
-    j-1), vectorized over x.  Returns shape (order+1, n+1) + x.shape.
+    is vectorized over x, with x - b_k formed for every k up front, and
+    runs in one loop over k that advances every order at once: column
+    k + 1 of order j needs only columns k and k - 1 of orders j and
+    j - 1.  A scalar x runs order by order on Python floats instead,
+    since there a numpy call costs more than the arithmetic it does.
+    Each entry is formed in the order the formula lists its terms, so
+    both give the table of one order at a time bit for bit.  Returns
+    shape (order+1, n+1) + x.shape.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > 0:
         rc.require(n - 1)
     xa = np.asarray(x, dtype=float)
+    shifted = xa - rc.b_hat[:n].reshape((n,) + (1,) * xa.ndim)
+    a = rc.a_hat[:n].tolist()
+    if xa.ndim == 0:
+        shifted = shifted.tolist()
+        rows = [[rc.g0] + [0.0] * n] + [[0.0] * (n + 1) for _ in range(order)]
+        for j, row in enumerate(rows):
+            for k, s in enumerate(shifted):
+                nxt = s * row[k]
+                if k:
+                    nxt -= a[k - 1] * row[k - 1]
+                if j:
+                    nxt += j * rows[j - 1][k]
+                row[k + 1] = nxt / a[k]
+        return np.array(rows)
     out = np.zeros((order + 1, n + 1) + xa.shape)
     out[0, 0] = rc.g0
-    for j, row in enumerate(out):
-        lower = j * out[j - 1] if j else None
-        prev = np.zeros_like(xa)
-        for k in range(n):
-            a_km1 = rc.a_hat[k - 1] if k >= 1 else 0.0
-            nxt = (xa - rc.b_hat[k]) * row[k] - a_km1 * prev
-            if j:
-                nxt = nxt + lower[k]
-            prev = row[k]
-            row[k + 1] = nxt / rc.a_hat[k]
+    # cols[k] is column k of every order; at order 0 without the order axis,
+    # which the products with x - b_k would otherwise broadcast over
+    if order:
+        cols = list(np.moveaxis(out, 1, 0))
+        j = np.arange(1.0, order + 1.0).reshape((order,) + (1,) * xa.ndim)
+    else:
+        cols = list(out[0])
+    for k, s in enumerate(shifted):
+        nxt = s * cols[k]
+        if k:
+            nxt -= a[k - 1] * cols[k - 1]
+        if order:
+            nxt[1:] += j * cols[k][:-1]
+        np.divide(nxt, a[k], out=cols[k + 1])
     return out
 
 

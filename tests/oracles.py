@@ -332,6 +332,29 @@ def orthonormal_coeffs_loop(rc, n: int) -> list:
     return out
 
 
+def derivative_tables_per_order(rc, n: int, x, order: int) -> np.ndarray:
+    """Table of g_k^(j)(x), one order at a time.
+
+    The loop ``derivative_tables`` ran before it advanced every order in
+    one loop over k: order j runs its own k-loop once order j - 1 is
+    finished, on numpy scalars even where x is a scalar.
+    """
+    xa = np.asarray(x, dtype=float)
+    out = np.zeros((order + 1, n + 1) + xa.shape)
+    out[0, 0] = rc.g0
+    for j, row in enumerate(out):
+        lower = j * out[j - 1] if j else None
+        prev = np.zeros_like(xa)
+        for k in range(n):
+            a_km1 = rc.a_hat[k - 1] if k >= 1 else 0.0
+            nxt = (xa - rc.b_hat[k]) * row[k] - a_km1 * prev
+            if j:
+                nxt = nxt + lower[k]
+            prev = row[k]
+            row[k + 1] = nxt / rc.a_hat[k]
+    return out
+
+
 def modified_kernel_accumulation(rc, c, n: int):
     """u_n = sum c_k g_k as a running sum of polynomials, degree by degree.
 
@@ -444,6 +467,25 @@ def associated_polynomials(p, n: int) -> list:
             s = s + p.gamma_band[k - 2] * polys[k - 2]
         polys.append((-1.0 / p.gamma_band[k]) * s)
     return polys
+
+
+def pencil_band_formulas(rc, c, n_max: int) -> dict:
+    """The five bands and two starting scalars, each written out from its formula.
+
+    The expressions ``build_pencil_formulas`` evaluated before it formed
+    1/c_k^2, b_k/c_k^2 and a_k/(c_k c_{k+1}) once for all bands.
+    """
+    ah, bh = rc.a_hat, rc.b_hat
+    n = np.arange(n_max + 1)
+    return {
+        "a": 1.0 / c[n + 1] ** 2,
+        "b": -1.0 / c[n] ** 2 - 1.0 / c[n + 1] ** 2,
+        "alpha_band": 2.0 * ah[n] / (c[n] * c[n + 1]) - bh[n] / c[n] ** 2 - bh[n + 1] / c[n + 1] ** 2,
+        "beta_band": bh[n + 1] / c[n + 1] ** 2 - ah[n + 1] / (c[n + 1] * c[n + 2]) - ah[n] / (c[n] * c[n + 1]),
+        "gamma_band": ah[n + 1] / (c[n + 1] * c[n + 2]),
+        "alpha_tilde": c[1] / (c[0] * ah[0]),
+        "beta_tilde": 1.0 - c[1] * bh[0] / (c[0] * ah[0]),
+    }
 
 
 def associated_values_loop(p, lambdas, n: int) -> np.ndarray:

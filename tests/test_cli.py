@@ -132,6 +132,26 @@ class TestPencilCommand:
         assert code == 2
         assert "3 values" in capsys.readouterr().err
 
+    def test_range_limit_is_named_without_warnings(self, capsys):
+        # the README example at nmax 400: c_369^2 overflows, so 1/c^2 would
+        # read 0 in the bands; one named line, no numpy RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["pencil", "--family", "jacobi", "--alpha", "0.5", "--beta", "-0.3",
+                        "--c", "kernel:t0=1.5", "--nmax", "400"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: weight c[369] = 1.56789e+154 is outside the pencil's range: ")
+        assert err.endswith("1/c[369]^2 reads 0\n") and err.count("\n") == 1
+
+    def test_vanishing_weight_is_named(self, tmp_path, capsys):
+        p = tmp_path / "w.csv"
+        p.write_text("\n".join(["1.0"] * 5 + ["1e-170"] + ["1.0"] * 10))
+        code = run(["pencil", "--family", "chebyshev", "--c", f"file:{p}", "--nmax", "8"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: weight c[5] = 1e-170 is outside the pencil's range: 1/c[5]^2 reads inf\n"
+
 
 @pytest.mark.parametrize("argv", [
     ["gram", "--family", "jacobi", "--alpha", "-1.5", "--t0", "1"],
@@ -142,6 +162,39 @@ def test_bad_family_parameters_exit_two(argv, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pencil", "--family", "chebyshev", "--alpha", "7", "--beta", "9"], "--family chebyshev takes no --alpha, got 7.0"),
+    (["pencil", "--family", "chebyshev", "--beta", "9"], "--family chebyshev takes no --beta, got 9.0"),
+    (["pencil", "--family", "laguerre", "--alpha", "0.5", "--beta", "1"], "--family laguerre takes no --beta, got 1.0"),
+    (["gram", "--family", "chebyshev", "--alpha", "0.5", "--t0", "1"], "--family chebyshev takes no --alpha, got 0.5"),
+    (["diffcheck", "--family", "laguerre", "--beta", "-0.3"], "--family laguerre takes no --beta, got -0.3"),
+    (["plotdata", "--what", "tn", "--t0", "1.5"], "plotdata --what tn takes no --t0, got 1.5"),
+    (["plotdata", "--what", "tn", "--family", "jacobi"], "plotdata --what tn takes no --family, got jacobi"),
+    (["plotdata", "--what", "tn", "--alpha", "0.5"], "plotdata --what tn takes no --alpha, got 0.5"),
+    (["plotdata", "--what", "P", "--family", "laguerre"], "plotdata --what P takes no --family, got laguerre"),
+    (["plotdata", "--what", "L", "--family", "jacobi"], "plotdata --what L takes no --family, got jacobi"),
+    (["plotdata", "--what", "L", "--beta", "0.5"], "plotdata --what L takes no --beta, got 0.5"),
+    (["plotdata", "--what", "kernel", "--c", "2"], "plotdata --what kernel takes no --c, got 2.0"),
+    (["plotdata", "--what", "kernel", "--family", "chebyshev", "--beta", "1"], "--family chebyshev takes no --beta, got 1.0"),
+])
+def test_unread_options_exit_two(argv, message, tmp_path, capsys):
+    code = run([*argv, "--emit", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["pencil", "--family", "chebyshev", "--alpha", "0", "--beta", "0", "--nmax", "4"],
+    ["pencil", "--family", "laguerre", "--alpha", "0.5", "--beta", "0", "--nmax", "4"],
+    ["plotdata", "--what", "tn", "--family", "chebyshev", "--alpha", "0", "--beta", "0", "--t0", "1"],
+    ["plotdata", "--what", "P", "--family", "chebyshev", "--alpha", "0.5", "--t0", "1.5"],
+    ["plotdata", "--what", "kernel", "--c", "1", "--t0", "1"],
+])
+def test_unread_options_at_their_defaults_pass(argv, tmp_path):
+    assert run([*argv, "--emit", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("alpha", ["200", "280"])
@@ -389,6 +442,26 @@ class TestReportDeterminism:
         run(args + ["--emit", str(b)])
         strip = lambda text: re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', text)
         assert strip(a.read_text()) == strip(b.read_text())
+
+    @pytest.mark.parametrize("argv, family", [
+        (["pencil", "--family", "jacobi", "--alpha", "0.5", "--beta", "-0.3", "--nmax", "6"],
+         {"family": "jacobi", "alpha": 0.5, "beta": -0.3}),
+        (["gram", "--family", "jacobi", "--alpha", "0.5", "--beta", "-0.3", "--t0", "1.5", "--nmax", "6"],
+         {"family": "jacobi", "alpha": 0.5, "beta": -0.3}),
+        (["diffcheck", "--family", "laguerre", "--alpha", "0.5", "--nmax", "6"],
+         {"family": "laguerre-neg", "alpha": 0.5}),
+        (["pencil", "--family", "chebyshev", "--nmax", "6"], {"family": "chebyshev1"}),
+    ])
+    def test_reports_record_the_family_parameters(self, argv, family, tmp_path):
+        # the parameters that select the family, and no others, in reports
+        # that are identical apart from the timestamp
+        texts = []
+        for name in ("a.json", "b.json"):
+            assert run([*argv, "--emit", str(tmp_path / name)]) == 0
+            texts.append(re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', (tmp_path / name).read_text()))
+        assert texts[0] == texts[1]
+        params = json.loads(texts[0])["parameters"]
+        assert {k: params[k] for k in ("family", "alpha", "beta") if k in params} == family
 
     def test_output_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MODKERNEL_OUTPUT_DIR", str(tmp_path))

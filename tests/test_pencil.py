@@ -24,7 +24,7 @@ from modkernel.polycore import (
     orthonormal_values,
     recurrence_coefficients,
 )
-from oracles import associated_polynomials, associated_values_loop, five_term_residual_loop
+from oracles import associated_polynomials, associated_values_loop, five_term_residual_loop, pencil_band_formulas
 
 
 def cheb_rc(n):
@@ -246,6 +246,11 @@ ORACLE_SOURCES = ("ones", "random", "kernel", "eigkernel", "secondkind")
 
 def edge_pencil(family, source: str, n: int):
     """Pencil for rows 0..n + 1 from one of the five weight sources, kernels at the support edge."""
+    return build_pencil_formulas(*edge_weights(family, source, n), n + 1)
+
+
+def edge_weights(family, source: str, n: int):
+    """Recurrence data and weights up to index n + 3 from one of the five weight sources."""
     rc = recurrence_coefficients(family, n + 3)
     if source == "ones":
         w = WeightSequence(np.ones(n + 4))
@@ -258,7 +263,7 @@ def edge_pencil(family, source: str, n: int):
             "secondkind": SecondKind(t0=family.edge + 0.5),
         }[source]
         w = generate_weights(family, rc, rule, n + 3)
-    return build_pencil_formulas(rc, w, n + 1)
+    return rc, w
 
 
 class TestOneStepOracles:
@@ -286,6 +291,29 @@ class TestOneStepOracles:
                     coeff_vals = evaluate(polys, lams)
                     assert five_term_residual(pen, coeff_vals, lams, scaled) == five_term_residual_loop(
                         pen, coeff_vals, lams, scaled)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 40])
+    @pytest.mark.parametrize("source", ["ones", "random", "kernel"])
+    @pytest.mark.parametrize("fam", sorted(ORACLE_FAMILIES))
+    def test_bands_match_the_written_out_formulas(self, fam, source, n_max):
+        rc, w = edge_weights(ORACLE_FAMILIES[fam], source, n_max)
+        pen = build_pencil_formulas(rc, w, n_max)
+        for name, ref in pencil_band_formulas(rc, w.c, n_max).items():
+            got = np.asarray(getattr(pen, name))
+            assert got.shape == np.shape(ref) and got.tobytes() == np.asarray(ref).tobytes(), name
+
+    def test_signed_zero_row_sum(self):
+        # row 0 at lambda = -0: (alpha_0 - lambda b_0) p_0 = -0 and
+        # (beta_0 - lambda a_0) p_1 = -0 sum to -0, and p_2 = +0; terms of
+        # the rows before row 0 that read +0 would turn the sum into +0
+        pen = edge_pencil(Chebyshev1(), "ones", 6)
+        alpha = pen.alpha_band.copy()
+        alpha[0] = -0.0
+        pen = dataclasses.replace(pen, alpha_band=alpha, beta_tilde=0.0)
+        lams = np.array([-0.0, 0.5])
+        vals = associated_values(pen, lams, 6)
+        assert vals.tobytes() == associated_values_loop(pen, lams, 6).tobytes()
+        assert math.copysign(1.0, vals[2, 0]) == 1.0
 
     def test_scalar_sample_point(self):
         pen = edge_pencil(ORACLE_FAMILIES["jacobi"], "kernel", 12)
@@ -350,6 +378,22 @@ class TestPencilErrors:
         assert five_term_residual(short, vals[:5], [0.0, 0.5]) >= 0.0
         with pytest.raises(ValueError, match=r"^pencil bands cover rows 0\.\.2, need 0\.\.4$"):
             five_term_residual(short, vals, [0.0, 0.5])
+
+    @pytest.mark.parametrize("value, reads", [(1e200, "0"), (1e-170, "inf")])
+    def test_bands_name_the_weight_outside_the_range(self, value, reads):
+        # c_5^2 overflows, or underflows to 0, so 1/c_5^2 would read 0 or inf
+        c = np.ones(12)
+        c[5] = value
+        with pytest.raises(ValueError) as exc:
+            build_pencil_formulas(cheb_rc(10), WeightSequence(c), 8)
+        assert str(exc.value) == f"weight c[5] = {value:g} is outside the pencil's range: 1/c[5]^2 reads {reads}"
+
+    def test_last_weight_is_not_squared(self):
+        # row n_max reads c_(n_max+2) only in c_(n_max+1) c_(n_max+2)
+        c = np.ones(12)
+        c[11] = 1e200
+        pen = build_pencil_formulas(cheb_rc(10), WeightSequence(c), 9)
+        assert pen.gamma_band[-1] == 0.5e-200
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -20,6 +20,7 @@ from modkernel.quadrature import gauss_rule
 
 from oracles import (
     chebyshev_orthonormal_value,
+    derivative_tables_per_order,
     fd1,
     fd2,
     jacobi_moments_lowdeg,
@@ -377,6 +378,24 @@ class TestCoefficientTable:
             coefficient_table(rc, 7)
         # no cap of its own: the callers that hand out coefficients hold it
         assert coefficient_table(recurrence_coefficients(Chebyshev1(), 45), 45)[45, 45] > 0.0
+
+
+class TestDerivativeTablesOracle:
+    """One k-loop for every order reproduces the per-order loop bit for bit."""
+
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    def test_every_order_and_shape_of_x(self, family):
+        rc = recurrence_coefficients(family, 31)
+        lo = -30.0 if isinstance(family, LaguerreNeg) else -1.2
+        grid = np.linspace(lo, 1.2, 12)
+        for x in (0.37, -0.0, lo, np.array(0.81), grid, grid.reshape(3, 4), np.array([-0.0, np.inf, -np.inf])):
+            for n in (0, 1, 2, 30):
+                for order in range(4):
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        got = derivative_tables(rc, n, x, order)
+                        ref = derivative_tables_per_order(rc, n, x, order)
+                    # the bytes, so that signed zeros and non-finite entries count too
+                    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 class TestJacobiRecurrence:
